@@ -55,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/micro_args.h"
 #include "src/common/simd.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
@@ -203,9 +204,10 @@ bool IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b) {
 }
 
 int Main(int argc, char** argv) {
-  const uint64_t processors =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000ull;
-  const int repeats = argc > 2 ? std::atoi(argv[2]) : 5;
+  const MicroArgs args = ParseMicroArgs(
+      argc, argv, "usage: micro_screening [processor_count] [repeats]", 1'000'000, 5);
+  const uint64_t processors = args.count;
+  const int repeats = args.repeats;
   std::printf("# micro_screening: %llu processors, best of %d\n",
               static_cast<unsigned long long>(processors), repeats);
 

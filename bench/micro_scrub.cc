@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/micro_args.h"
 #include "src/report/exporters.h"
 #include "src/scrub/scrubber.h"
 #include "src/toolchain/registry.h"
@@ -60,7 +61,7 @@ ScrubConfig BaseConfig(uint64_t processors) {
 
 int Main(int argc, char** argv) {
   const uint64_t processors =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 50'000ull;
+      ParseMicroArgs(argc, argv, "usage: micro_scrub [processor_count]", 50'000, 0).count;
   std::printf("# micro_scrub: %llu processors\n",
               static_cast<unsigned long long>(processors));
 

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <functional>
 
+#include "bench/micro_args.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stream.h"
@@ -43,9 +44,10 @@ double WallSeconds(const std::function<void()>& fn) {
 }
 
 int Main(int argc, char** argv) {
-  const uint64_t processors =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000ull;
-  const int repeats = argc > 2 ? std::atoi(argv[2]) : 5;
+  const MicroArgs args = ParseMicroArgs(
+      argc, argv, "usage: micro_trace [processor_count] [repeats]", 1'000'000, 5);
+  const uint64_t processors = args.count;
+  const int repeats = args.repeats;
   std::printf("# micro_trace: %llu processors, best of %d\n",
               static_cast<unsigned long long>(processors), repeats);
 

@@ -80,21 +80,12 @@ void ScreeningStats::MergeFrom(ScreeningStats&& other) {
     detected_by_arch[static_cast<size_t>(arch)] +=
         other.detected_by_arch[static_cast<size_t>(arch)];
   }
-  if (detections.empty()) {
-    detections = std::move(other.detections);
-  } else {
-    detections.reserve(detections.size() + other.detections.size());
-    detections.insert(detections.end(), std::make_move_iterator(other.detections.begin()),
-                      std::make_move_iterator(other.detections.end()));
-  }
-  if (provenance.empty()) {
-    provenance = std::move(other.provenance);
-  } else {
-    provenance.reserve(provenance.size() + other.provenance.size());
-    provenance.insert(provenance.end(),
-                      std::make_move_iterator(other.provenance.begin()),
-                      std::make_move_iterator(other.provenance.end()));
-  }
+  // Append only: the shard-order folds presize both vectors (ReserveMergedDetections),
+  // and an exact-size reserve here would reallocate the whole accumulator per shard.
+  detections.insert(detections.end(), std::make_move_iterator(other.detections.begin()),
+                    std::make_move_iterator(other.detections.end()));
+  provenance.insert(provenance.end(), std::make_move_iterator(other.provenance.begin()),
+                    std::make_move_iterator(other.provenance.end()));
 }
 
 int RegularGroupOf(uint64_t serial, const ScreeningConfig& config) {
@@ -218,6 +209,16 @@ MetricsDelta DeltaFromShardStats(const ScreeningStats& stats) {
     }
   }
   return delta;
+}
+
+// Presizes a shard-order fold's accumulator for `count` more detections (the sum over
+// the shards about to merge), so the fold makes one allocation per merged vector and
+// ScreeningStats::MergeFrom only appends: O(total detections), not O(shards x
+// detections). Exact, not geometric, growth also leaves no slack capacity in results
+// that outlive the run (sdcd retains every campaign's stats).
+void ReserveMergedDetections(ScreeningStats& total, size_t count) {
+  total.detections.reserve(total.detections.size() + count);
+  total.provenance.reserve(total.provenance.size() + count);
 }
 
 // Provenance shared by the memoized and reference models: the defect context is reduced
@@ -659,6 +660,11 @@ ScreeningStats ScreeningPipeline::RunWith(const FleetPopulation& fleet,
         return result;
       });
   ShardResult total;
+  size_t detection_total = 0;
+  for (const ShardResult& shard_result : shard_results) {
+    detection_total += shard_result.stats.detections.size();
+  }
+  ReserveMergedDetections(total.stats, detection_total);
   for (size_t shard = 0; shard < shard_results.size(); ++shard) {
     ShardResult& shard_result = shard_results[shard];
     total.stats.MergeFrom(std::move(shard_result.stats));
@@ -817,6 +823,13 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatchWith(
   total.stats.resize(k_count);
   total.deltas.resize(k_count);
   total.traces.resize(k_count);
+  for (size_t k = 0; k < k_count; ++k) {
+    size_t detection_total = 0;
+    for (const ShardResult& shard_result : shard_results) {
+      detection_total += shard_result.stats[k].detections.size();
+    }
+    ReserveMergedDetections(total.stats[k], detection_total);
+  }
   for (size_t shard = 0; shard < shard_results.size(); ++shard) {
     ShardResult& shard_result = shard_results[shard];
     for (size_t k = 0; k < k_count; ++k) {
@@ -1106,6 +1119,13 @@ void StreamingScreen::EndStream() {
       pinned_trace_.empty() ? nullptr : pinned_trace_.front(), "screening.aggregate",
       "aggregate", kTraceTrackAggregate);
   std::vector<MetricsDelta> total_deltas(k_count);
+  for (size_t k = 0; k < k_count; ++k) {
+    size_t detection_total = 0;
+    for (const std::vector<ScreeningStats>& shard : shard_stats_) {
+      detection_total += shard[k].detections.size();
+    }
+    ReserveMergedDetections(stats_[k], detection_total);
+  }
   for (size_t shard = 0; shard < shard_stats_.size(); ++shard) {
     for (size_t k = 0; k < k_count; ++k) {
       stats_[k].MergeFrom(std::move(shard_stats_[shard][k]));

@@ -183,8 +183,9 @@ struct ScreeningStats {
   double ArchRate(int arch_index) const;     // detections / tested within one arch
   double PreProductionRate() const;          // factory + datacenter + re-install
 
-  // Adds `other`'s counters and move-appends its detections (reserving first, so the
-  // shard-order reduce never reallocates per element). Shard results merged in shard
+  // Adds `other`'s counters and move-appends its detections and provenance. The caller
+  // presizes both vectors to the fold's summed detection count; MergeFrom only appends,
+  // so a fold over N shards stays O(total detections). Shard results merged in shard
   // order reproduce the serial stats exactly, detections in serial order included.
   void MergeFrom(ScreeningStats&& other);
 };

@@ -41,8 +41,12 @@ class MatrixMultiplyCase : public TestcaseBase {
           for (int k = 0; k < n; ++k) {
             const auto ai = static_cast<int32_t>(a[i * n + k] * 100.0);
             const auto bk = static_cast<int32_t>(b[k * n + j] * 100.0);
-            golden += ai * bk;
-            routed = cpu.ExecuteI32(lcore, op, routed + ai * bk);
+            // |ai * bk| <= 10^4, but a corrupted `routed` can be any int32_t: both sums
+            // wrap modulo 2^32 (through uint32_t) instead of overflowing signed.
+            const auto product = static_cast<uint32_t>(ai * bk);
+            golden = static_cast<int32_t>(static_cast<uint32_t>(golden) + product);
+            routed = cpu.ExecuteI32(
+                lcore, op, static_cast<int32_t>(static_cast<uint32_t>(routed) + product));
           }
           if (routed != golden) {
             context.RecordComputation(info_.id, lcore, type_, BitsOfInt32(golden),

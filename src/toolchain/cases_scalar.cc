@@ -10,19 +10,24 @@ namespace sdc {
 namespace {
 
 // Golden scalar results for integer/logic ops. Inputs are derived from the rng; divide
-// guards against zero divisors.
+// guards against zero divisors. 64-bit raw payloads span the whole int64_t range, so
+// add/sub/mul/shift run in uint64_t: the same two's-complement bits signed overflow
+// would give on x86, but defined (modulo 2^64) instead of undefined.
 int64_t GoldenInt(OpKind op, int64_t a, int64_t b) {
+  const auto ua = static_cast<uint64_t>(a);
+  const auto ub = static_cast<uint64_t>(b);
   switch (op) {
     case OpKind::kIntAdd:
-      return a + b;
+      return static_cast<int64_t>(ua + ub);
     case OpKind::kIntSub:
-      return a - b;
+      return static_cast<int64_t>(ua - ub);
     case OpKind::kIntMul:
-      return a * b;
+      return static_cast<int64_t>(ua * ub);
     case OpKind::kIntDiv:
-      return a / (b | 1);
+      // INT64_MIN / -1 overflows; its wrapped quotient is the wrapped negation.
+      return (b | 1) == -1 ? static_cast<int64_t>(0 - ua) : a / (b | 1);
     case OpKind::kIntShift:
-      return a << (b & 15);
+      return static_cast<int64_t>(ua << (b & 15));
     case OpKind::kLogicAnd:
       return a & b;
     case OpKind::kLogicOr:
@@ -40,7 +45,7 @@ int64_t GoldenInt(OpKind op, int64_t a, int64_t b) {
       return static_cast<int64_t>(
           (static_cast<uint64_t>(a) >> 8) ^ ((static_cast<uint64_t>(a ^ b) & 0xff) * 0x1db7));
     default:
-      return a + b;
+      return static_cast<int64_t>(ua + ub);
   }
 }
 

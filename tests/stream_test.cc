@@ -3,9 +3,13 @@
 // counter, every detection in order, detection months compared bitwise, metrics snapshot
 // included -- to generating a materialized FleetPopulation and running the same
 // aggregations over it, at several thread counts. Also pins the memory contract: peak
-// streaming scratch is O(lanes * shard), not O(fleet).
+// streaming scratch is O(lanes * shard), not O(fleet), and the fold-cost contract: every
+// shard-order fold allocates each merged detection vector once.
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +24,31 @@
 #include "src/fleet/stream.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
+
+// Allocation probe for the fold-cost tests: while armed, every heap allocation of at
+// least kLargeAllocationBytes, on any thread, is counted. Replacing the global operator
+// new is the only way to see allocations made inside the library's folds; unarmed it
+// costs one relaxed load per allocation.
+namespace {
+constexpr std::size_t kLargeAllocationBytes = 16 * 1024;
+std::atomic<bool> g_probe_armed{false};
+std::atomic<uint64_t> g_large_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_probe_armed.load(std::memory_order_relaxed) && size >= kLargeAllocationBytes) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* ptr = std::malloc(size == 0 ? 1 : size);
+  if (ptr == nullptr) {
+    throw std::bad_alloc();
+  }
+  return ptr;
+}
+// noinline keeps GCC's -Wmismatched-new-delete from pairing an inlined free() with the
+// library's own operator new calls.
+__attribute__((noinline)) void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { operator delete(ptr); }
 
 namespace sdc {
 namespace {
@@ -413,6 +442,98 @@ TEST_F(StreamBatchTest, BatchedScenariosNotVacuouslyEqual) {
     }
   }
   EXPECT_TRUE(any_difference) << "all scenarios produced identical outcomes";
+}
+
+// ----- fold cost: one allocation per merged vector ----------------------------------
+//
+// All three shard-order folds (materialized Run, materialized RunBatch, streaming
+// EndStream) sum the shards' detection counts and presize the merged detections and
+// provenance once; ScreeningStats::MergeFrom only appends. A fold that reserved
+// size() + other.size() per shard instead reallocates and moves the whole accumulator for
+// every shard that detected anything: thousands of large allocations over 4096 shards.
+
+class LargeAllocationProbe {
+ public:
+  LargeAllocationProbe() {
+    g_large_allocations.store(0);
+    g_probe_armed.store(true);
+  }
+  ~LargeAllocationProbe() { g_probe_armed.store(false); }
+  uint64_t count() const { return g_large_allocations.load(); }
+};
+
+// 4096 screening shards (2048 stream shards) of the default fleet: about 1.5 detections
+// per shard, so the merged vectors are many times kLargeAllocationBytes.
+constexpr uint64_t kFoldShards = 4096;
+constexpr uint64_t kFoldFleetSize = kFoldShards * kScreeningShardGrain;
+
+void ExpectPresizedFold(const ScreeningStats& stats) {
+  EXPECT_EQ(stats.tested, kFoldFleetSize);
+  EXPECT_EQ(stats.detections.size(), stats.total_detected());
+  EXPECT_EQ(stats.provenance.size(), stats.detections.size());
+  EXPECT_EQ(stats.detections.capacity(), stats.detections.size());
+  EXPECT_EQ(stats.provenance.capacity(), stats.provenance.size());
+  // The premise of the allocation bound: growing either merged vector shard by shard
+  // would cross kLargeAllocationBytes on hundreds of shards.
+  EXPECT_GE(stats.detections.size() * sizeof(ProcessorOutcome), 8 * kLargeAllocationBytes);
+}
+
+TEST_F(StreamBatchTest, ShardFoldsAllocateEachMergedVectorOnce) {
+  constexpr int kThreads = 2;
+  constexpr int kScenarios = 3;
+  const PopulationConfig population =
+      MakePopulationConfig(kFoldFleetSize, kThreads, nullptr);
+  const FleetPopulation fleet = FleetPopulation::Generate(population);
+  ScreeningPipeline pipeline(suite_);
+  const ScreeningConfig single = MakeScreeningConfig(kThreads, nullptr, false);
+  const ScenarioBatch batch = MakeBatch(kScenarios, kThreads);
+
+  // Materialized Run: the merged detections and provenance, plus the shard-result table.
+  ScreeningStats materialized;
+  {
+    LargeAllocationProbe probe;
+    materialized = pipeline.Run(fleet, single);
+    EXPECT_LE(probe.count(), 3u);
+  }
+  ExpectPresizedFold(materialized);
+
+  // Streaming single scenario: the merged vectors, plus StreamingScreen's three per-shard
+  // slot tables (stats, deltas, traces). Still element-for-element equal to the
+  // materialized (serial-order) fold.
+  {
+    FleetShardStream stream(population);
+    StreamingScreen screen(&pipeline, single);
+    LargeAllocationProbe probe;
+    stream.Drive({&screen});
+    EXPECT_LE(probe.count(), 2u + 3);
+    const ScreeningStats streamed = screen.TakeStats();
+    ExpectPresizedFold(streamed);
+    ExpectIdenticalStats(streamed, materialized);
+  }
+
+  // K = 3: two merged vectors per scenario, plus the same tables as the K = 1 passes.
+  std::vector<ScreeningStats> batched;
+  {
+    LargeAllocationProbe probe;
+    batched = pipeline.RunBatch(fleet, batch);
+    EXPECT_LE(probe.count(), 2u * kScenarios + 1);
+  }
+  ASSERT_EQ(batched.size(), static_cast<size_t>(kScenarios));
+  FleetShardStream stream(population);
+  StreamingScreen screen(&pipeline, batch);
+  {
+    LargeAllocationProbe probe;
+    stream.Drive({&screen});
+    EXPECT_LE(probe.count(), 2u * kScenarios + 3);
+  }
+  const std::vector<ScreeningStats> streamed = screen.TakeBatchStats();
+  ASSERT_EQ(streamed.size(), static_cast<size_t>(kScenarios));
+  for (size_t k = 0; k < streamed.size(); ++k) {
+    SCOPED_TRACE("scenario " + std::to_string(k));
+    ExpectPresizedFold(batched[k]);
+    ExpectPresizedFold(streamed[k]);
+    ExpectIdenticalStats(streamed[k], batched[k]);
+  }
 }
 
 TEST(StreamMemoryTest, TenMillionProcessorsStayWithinShardBudget) {
