@@ -25,11 +25,11 @@
 //
 // Further row families cover the batched engine and the SIMD kernels
 // (docs/performance.md):
-//   "screen_scalar"   -- the cached model with ScreeningConfig::simd pinned to the
-//                        scalar fallback, so the vector kernel's contribution is
-//                        measurable.
-//   "generate_scalar" -- the blocked generator with PopulationConfig::simd pinned to
-//                        scalar; its fleet too must match the golden fleet bitwise.
+//   "screen_scalar"   -- the cached model on an EngineContext pinned to the scalar
+//                        fallback (EngineOptions::simd), so the vector kernel's
+//                        contribution is measurable.
+//   "generate_scalar" -- the blocked generator on that scalar context; its fleet too
+//                        must match the golden fleet bitwise.
 //   "screen_series"   -- the cached screen with a SeriesRecorder attached; the ratio to
 //                        the plain "screen" row is the live-telemetry overhead, bounded
 //                        by tools/check_screening_json.py (docs/observability.md).
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "bench/micro_args.h"
+#include "src/common/context.h"
 #include "src/common/simd.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
@@ -213,7 +214,7 @@ int Main(int argc, char** argv) {
 
   std::printf("{\"bench\": \"env\", \"simd\": \"%s\", \"forced_scalar\": %s, "
               "\"hardware_threads\": %u}\n",
-              SimdLevelName(ResolveSimdLevel(SimdLevel::kAuto)).c_str(),
+              SimdLevelName(EngineContext(EngineOptions{.threads = 1}).simd()).c_str(),
 #if defined(SDC_FORCE_SCALAR)
               "true",
 #else
@@ -264,12 +265,16 @@ int Main(int argc, char** argv) {
     });
     EmitJson("generate", "reference", threads, generate_reference_wall, processors);
 
-    PopulationConfig scalar_population = population_config;
-    scalar_population.simd = SimdLevel::kScalar;
-    deterministic &=
-        IdenticalFleets(golden_fleet, FleetPopulation::Generate(scalar_population));
+    // Like the context-free rows, each timed call builds its own (scalar) context.
+    const EngineOptions scalar_options{.threads = threads, .simd = SimdLevel::kScalar};
+    {
+      EngineContext scalar_context(scalar_options);
+      deterministic &= IdenticalFleets(
+          golden_fleet, FleetPopulation::Generate(population_config, scalar_context));
+    }
     const double generate_scalar_wall = BestWallSeconds(repeats, [&] {
-      (void)FleetPopulation::Generate(scalar_population);
+      EngineContext scalar_context(scalar_options);
+      (void)FleetPopulation::Generate(population_config, scalar_context);
     });
     EmitJson("generate_scalar", "cached", threads, generate_scalar_wall, processors);
 
@@ -306,11 +311,14 @@ int Main(int argc, char** argv) {
     // The same cached screen with the vector kernel pinned off: the delta against the
     // "screen" row above is the SIMD clean-path contribution. Output must not move a bit.
     ScreeningConfig scalar_config;
-    scalar_config.threads = threads;
-    scalar_config.simd = SimdLevel::kScalar;
-    deterministic &= IdenticalStats(golden, pipeline.Run(fleet, scalar_config));
+    {
+      EngineContext scalar_context(scalar_options);
+      deterministic &=
+          IdenticalStats(golden, pipeline.Run(fleet, scalar_config, scalar_context));
+    }
     const double scalar_wall = BestWallSeconds(repeats, [&] {
-      (void)pipeline.Run(fleet, scalar_config);
+      EngineContext scalar_context(scalar_options);
+      (void)pipeline.Run(fleet, scalar_config, scalar_context);
     });
     EmitJson("screen_scalar", "cached", threads, scalar_wall, processors);
     if (threads == 1) {

@@ -26,24 +26,6 @@ double MeasureOccurrenceFrequency(FaultyMachine& machine, const TestFramework& f
   return report.results.front().OccurrenceFrequencyPerMinute();
 }
 
-std::vector<TemperaturePoint> TemperatureSweep(FaultyMachine& machine,
-                                               const TestFramework& framework,
-                                               size_t testcase_index, int pcore,
-                                               const std::vector<double>& temperatures,
-                                               double duration_seconds, uint64_t seed) {
-  std::vector<TemperaturePoint> points;
-  points.reserve(temperatures.size());
-  for (size_t i = 0; i < temperatures.size(); ++i) {
-    TemperaturePoint point;
-    point.temperature_celsius = temperatures[i];
-    point.frequency_per_minute = MeasureOccurrenceFrequency(
-        machine, framework, testcase_index, pcore, temperatures[i], duration_seconds,
-        seed + i);
-    points.push_back(point);
-  }
-  return points;
-}
-
 LinearFit FitLogFrequencyVsTemperature(const std::vector<TemperaturePoint>& points) {
   std::vector<double> xs;
   std::vector<double> ys;
@@ -54,19 +36,6 @@ LinearFit FitLogFrequencyVsTemperature(const std::vector<TemperaturePoint>& poin
     }
   }
   return FitLeastSquares(xs, ys);
-}
-
-double FindMinTriggerTemperature(FaultyMachine& machine, const TestFramework& framework,
-                                 size_t testcase_index, int pcore, double lo, double hi,
-                                 double step, double duration_seconds, uint64_t seed) {
-  for (double temperature = lo; temperature <= hi + 1e-9; temperature += step) {
-    const double frequency = MeasureOccurrenceFrequency(
-        machine, framework, testcase_index, pcore, temperature, duration_seconds, seed);
-    if (frequency > 0.0) {
-      return temperature;
-    }
-  }
-  return -1.0;
 }
 
 std::vector<TriggerPoint> CollectTriggerPoints(

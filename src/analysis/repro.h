@@ -1,6 +1,6 @@
-// Reproducibility analysis (Section 5): occurrence-frequency measurement, pinned-temperature
-// sweeps with log-linear fits (Figure 8), minimum-trigger-temperature search, and the
-// trigger-temperature/frequency relation (Figure 9).
+// Reproducibility analysis (Section 5): occurrence-frequency measurement, log-linear fits
+// of frequency against pinned temperature (Figure 8), and the trigger-temperature/frequency
+// relation (Figure 9).
 
 #ifndef SDC_SRC_ANALYSIS_REPRO_H_
 #define SDC_SRC_ANALYSIS_REPRO_H_
@@ -29,22 +29,9 @@ struct TemperaturePoint {
   double frequency_per_minute = 0.0;
 };
 
-// Sweeps the pinned temperature and measures frequency at each step (Figure 8's raw data).
-std::vector<TemperaturePoint> TemperatureSweep(FaultyMachine& machine,
-                                               const TestFramework& framework,
-                                               size_t testcase_index, int pcore,
-                                               const std::vector<double>& temperatures,
-                                               double duration_seconds, uint64_t seed);
-
 // Least-squares fit of log10(frequency) against temperature over the sweep's non-zero
 // points; fit.r is the Pearson coefficient the paper reports (> 0.75 for thermal settings).
 LinearFit FitLogFrequencyVsTemperature(const std::vector<TemperaturePoint>& points);
-
-// Finds the lowest pinned temperature (within [lo, hi], at `step` granularity) at which the
-// setting reproduces at least one error; returns a negative value when it never does.
-double FindMinTriggerTemperature(FaultyMachine& machine, const TestFramework& framework,
-                                 size_t testcase_index, int pcore, double lo, double hi,
-                                 double step, double duration_seconds, uint64_t seed);
 
 // One point of Figure 9, evaluated from the defect model directly: the defect's minimum
 // trigger temperature and its occurrence frequency there under nominal test intensity.

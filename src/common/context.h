@@ -8,14 +8,17 @@
 // AttachMetrics aimed at one campaign silently bleeds into the other.
 //
 // EngineContext is the fix. It captures everything the engine needs to execute --
-// worker lanes (an owned ThreadPool), the vector level for the screening clean path, and
-// the optional telemetry sinks (MetricsRegistry, TraceRecorder, EventLog) -- and the
-// environment (SDC_THREADS, SDC_SIMD) is consulted exactly once, inside the constructor.
-// Every pipeline entry point takes a context (FleetPopulation::Generate,
-// FleetShardStream::Drive, ScreeningPipeline::Run/RunBatch, TestFramework::RunPlan,
-// Farron via FarronConfig::context); the legacy context-free overloads remain and simply
-// construct a fresh context per call, so one-shot callers keep their exact behavior.
-// After construction, no engine path reads an environment variable or any other mutable
+// worker lanes (an owned ThreadPool), the vector level for the screening clean path and
+// the blocked fleet generator, and the optional telemetry sinks (MetricsRegistry,
+// TraceRecorder, EventLog, SeriesRecorder) -- and the environment (SDC_THREADS,
+// SDC_SIMD) is consulted exactly once, inside the constructor. The vector level has no
+// other source: no config struct carries one. Every pipeline entry point runs on a
+// context (FleetPopulation::Generate, FleetShardStream::Drive,
+// ScreeningPipeline::Run/RunBatch, FleetScrubber::Run, TestFramework::RunPlan, Farron via
+// FarronConfig::context). In src/fleet and src/scrub the context-free overloads are
+// one-line shorthands that build EngineContext(EngineOptions{.threads = config.threads})
+// and call the context form, so there is one resolution path, not two. After
+// construction, no engine path reads an environment variable or any other mutable
 // process-global -- the invariant the sdcd campaign daemon (docs/daemon.md) and the
 // concurrent-campaign tests (tests/context_test.cc) are built on.
 //
@@ -48,7 +51,8 @@ class TraceRecorder;
 struct EngineOptions {
   // Worker lanes: 0 = hardware concurrency, 1 = serial on the calling thread.
   int threads = 0;
-  // Vector level for the screening clean path; kAuto picks the best the host supports.
+  // Vector level for the screening clean path and the blocked generator; kAuto picks the
+  // best the host supports.
   SimdLevel simd = SimdLevel::kAuto;
   // Consult SDC_THREADS / SDC_SIMD (once, at construction). The sdcd daemon sets this
   // false so per-campaign lane budgets cannot be overridden by the daemon's environment.

@@ -12,7 +12,7 @@
 //      path at compile time -- the CI matrix leg that proves the fallback end-to-end.
 //   2. The SDC_SIMD environment variable ("scalar", "sse2", "avx2", "neon", "auto")
 //      overrides whatever the caller requested, clamped to what the host supports.
-//   3. The caller's requested level (e.g. ScreeningConfig::simd), kAuto meaning "best
+//   3. The caller's requested level (EngineOptions::simd), kAuto meaning "best
 //      supported". Requests above the host's capability clamp down, never fault.
 
 #ifndef SDC_SRC_COMMON_SIMD_H_

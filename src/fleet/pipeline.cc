@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <numeric>
 #include <utility>
 
 #include "src/common/context.h"
@@ -329,7 +328,7 @@ void ReplayFaultyProbes(uint64_t serial, int arch_index, std::span<const Defect>
 // onto the provenance records appended during the call and, when tracing, emits the
 // shard's "screen.subshard" span plus one "detection" instant per new detection. The
 // screening shard index and its RNG stream coincide by construction (Rng::Fork(sub_shard)).
-void FinishShardRange(const ScreeningShardView& view, uint64_t sub_shard,
+void FinishShardRange(uint64_t begin, uint64_t end, uint64_t sub_shard,
                       size_t first_detection, uint64_t faulty_before,
                       ScreeningStats& stats, TraceDelta* trace) {
   for (size_t i = first_detection; i < stats.provenance.size(); ++i) {
@@ -340,8 +339,8 @@ void FinishShardRange(const ScreeningShardView& view, uint64_t sub_shard,
     return;
   }
   TraceEvent span = MakeTraceSpan("screen.subshard", "screen", kTraceTrackScreen,
-                                  static_cast<double>(view.begin),
-                                  static_cast<double>(view.end - view.begin));
+                                  static_cast<double>(begin),
+                                  static_cast<double>(end - begin));
   span.num_args.reserve(3);
   span.num_args.emplace_back("sub_shard", static_cast<double>(sub_shard));
   span.num_args.emplace_back("faulty",
@@ -374,78 +373,32 @@ double ScreeningPipeline::ExpectedErrors(const Defect& defect, const StageParams
   return ExpectedErrorsWithMatching(defect, stage, pcores, MatchingTestcases(defect));
 }
 
-std::span<const Defect> ScreeningShardView::DefectsOf(uint64_t serial) const {
-  const auto it =
-      std::lower_bound(faulty_serials.begin(), faulty_serials.end(), serial);
-  if (it == faulty_serials.end() || *it != serial) {
-    return {};
-  }
-  return FaultyDefects(static_cast<size_t>(it - faulty_serials.begin()));
-}
-
-FleetProcessorView ScreeningShardView::processor(uint64_t serial) const {
-  const uint8_t flags = flag_bytes[serial - column_base];
-  return {serial, arch_index(serial), (flags & FleetPopulation::kFaultyFlag) != 0,
-          (flags & FleetPopulation::kDetectableFlag) != 0, DefectsOf(serial)};
-}
-
-void ScreeningPipeline::ScreenShardRange(const ScreeningShardView& view,
-                                         const ScreeningConfig& config,
-                                         const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                                         uint64_t sub_shard, SimdLevel simd, Rng& rng,
-                                         ScreeningStats& stats, TraceDelta* trace) const {
+void ScreeningPipeline::ScreenShardRange(const FleetShard& shard, uint64_t begin,
+                                         uint64_t end, const ScreeningConfig& config,
+                                         uint64_t sub_shard, Rng& rng, ScreeningStats& stats,
+                                         TraceDelta* trace) const {
   const size_t first_detection = stats.detections.size();
   const uint64_t faulty_before = stats.faulty;
-  if (config.use_reference_model) {
-    for (uint64_t serial = view.begin; serial < view.end; ++serial) {
-      ScreenProcessorReference(view.processor(serial), config, rng, stats);
-    }
-    FinishShardRange(view, sub_shard, first_detection, faulty_before, stats, trace);
-    return;
+  for (uint64_t serial = begin; serial < end; ++serial) {
+    ScreenProcessorReference(shard.processor(serial), config, rng, stats);
   }
-  // Clean-processor fast path: the shard's tested counters come from a vectorized scan of
-  // the packed arch bytes (src/common/simd.h -- any level yields the same exact counts);
-  // the detection model only ever runs for the (rare) faulty parts, located via the
-  // sorted faulty-serial index.
-  stats.tested += view.end - view.begin;
-  uint64_t hist[kArchCount] = {};
-  CountBytesByValue(view.arch_bytes.data() + (view.begin - view.column_base),
-                    view.end - view.begin, kArchCount, hist, simd);
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    stats.tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
-  }
-  const auto first = std::lower_bound(view.faulty_serials.begin(),
-                                      view.faulty_serials.end(), view.begin);
-  const auto last = std::lower_bound(first, view.faulty_serials.end(), view.end);
-  stats.detections.reserve(stats.detections.size() + static_cast<size_t>(last - first));
-  for (auto it = first; it != last; ++it) {
-    ++stats.faulty;
-    const uint64_t faulty_serial = *it;
-    if (!view.toolchain_detectable(faulty_serial)) {
-      continue;  // escapes every stage (Section 2.3's false negatives)
-    }
-    const int arch_index = view.arch_index(faulty_serial);
-    const size_t ordinal = static_cast<size_t>(it - view.faulty_serials.begin());
-    ScreenFaultyProcessor(faulty_serial, arch_index, view.FaultyDefects(ordinal), config,
-                          arch_specs[static_cast<size_t>(arch_index)].physical_cores, rng,
-                          stats);
-  }
-  FinishShardRange(view, sub_shard, first_detection, faulty_before, stats, trace);
+  FinishShardRange(begin, end, sub_shard, first_detection, faulty_before, stats, trace);
 }
 
 void ScreeningPipeline::ScreenShardRangeBatch(
-    const ScreeningShardView& view, std::span<const ScreeningConfig> scenarios,
+    const FleetShard& shard, uint64_t begin, uint64_t end,
+    std::span<const ScreeningConfig> scenarios,
     const std::array<ProcessorSpec, kArchCount>& arch_specs, uint64_t sub_shard,
     SimdLevel simd, std::span<Rng> rngs, std::span<ScreeningStats> stats,
     std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
-  // Reference-model scenarios replay the per-processor oracle on their own; in streaming
-  // mode they still ride the shared generation pass. Cached scenarios share the work
-  // below.
+  // Reference-model scenarios replay the per-processor oracle on their own (in streaming
+  // mode they still ride the shared generation pass). Cached scenarios share the work
+  // below; this is the one memoized screening loop, for K = 1 as for any K.
   bool any_cached = false;
   for (size_t k = 0; k < k_count; ++k) {
     if (scenarios[k].use_reference_model) {
-      ScreenShardRange(view, scenarios[k], arch_specs, sub_shard, simd, rngs[k], stats[k],
+      ScreenShardRange(shard, begin, end, scenarios[k], sub_shard, rngs[k], stats[k],
                        traces[k]);
     } else {
       any_cached = true;
@@ -458,11 +411,11 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   // Scenario-invariant work, paid once for the whole batch: the clean-path arch
   // histogram and the faulty-range lookup.
   uint64_t hist[kArchCount] = {};
-  CountBytesByValue(view.arch_bytes.data() + (view.begin - view.column_base),
-                    view.end - view.begin, kArchCount, hist, simd);
-  const auto first = std::lower_bound(view.faulty_serials.begin(),
-                                      view.faulty_serials.end(), view.begin);
-  const auto last = std::lower_bound(first, view.faulty_serials.end(), view.end);
+  CountBytesByValue(shard.arch_bytes.data() + (begin - shard.begin), end - begin,
+                    kArchCount, hist, simd);
+  const auto first =
+      std::lower_bound(shard.faulty_serials.begin(), shard.faulty_serials.end(), begin);
+  const auto last = std::lower_bound(first, shard.faulty_serials.end(), end);
   const size_t shard_faulty = static_cast<size_t>(last - first);
 
   std::vector<size_t> first_detection(k_count);
@@ -473,7 +426,7 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     }
     first_detection[k] = stats[k].detections.size();
     faulty_before[k] = stats[k].faulty;
-    stats[k].tested += view.end - view.begin;
+    stats[k].tested += end - begin;
     for (int arch = 0; arch < kArchCount; ++arch) {
       stats[k].tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
     }
@@ -513,10 +466,10 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<std::vector<std::array<double, kStageCount>>> group_terms(group_rep.size());
   for (auto it = first; it != last; ++it) {
     const uint64_t faulty_serial = *it;
-    const bool detectable = view.toolchain_detectable(faulty_serial);
-    const int arch_index = view.arch_index(faulty_serial);
-    const size_t ordinal = static_cast<size_t>(it - view.faulty_serials.begin());
-    const std::span<const Defect> defects = view.FaultyDefects(ordinal);
+    const bool detectable = shard.toolchain_detectable(faulty_serial);
+    const int arch_index = shard.arch_index(faulty_serial);
+    const size_t ordinal = static_cast<size_t>(it - shard.faulty_serials.begin());
+    const std::span<const Defect> defects = shard.FaultyDefects(ordinal);
     if (detectable) {
       matching.resize(defects.size());
       for (size_t d = 0; d < defects.size(); ++d) {
@@ -550,7 +503,7 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     if (scenarios[k].use_reference_model) {
       continue;
     }
-    FinishShardRange(view, sub_shard, first_detection[k], faulty_before[k], stats[k],
+    FinishShardRange(begin, end, sub_shard, first_detection[k], faulty_before[k], stats[k],
                      traces[k]);
   }
 }
@@ -558,9 +511,9 @@ void ScreeningPipeline::ScreenShardRangeBatch(
 namespace {
 
 // One cumulative sample of the screening trajectory, taken at a fleet-grain boundary of
-// the serial axis. Both execution modes call exactly this with the same (boundary,
-// cumulative-stats) pairs, which is what makes the series byte-identical across
-// streaming and materialized runs.
+// the serial axis. StreamingScreen's ordered fold appends one per stream shard in both
+// execution modes, which is what makes the series byte-identical across streaming and
+// materialized runs.
 void AppendScreeningSeriesPoint(SeriesRecorder* series, uint64_t end_serial,
                                 const ScreeningStats& cumulative) {
   const auto x = static_cast<double>(end_serial);
@@ -572,347 +525,35 @@ void AppendScreeningSeriesPoint(SeriesRecorder* series, uint64_t end_serial,
                  static_cast<double>(cumulative.faulty) - detected);
 }
 
-// Screening shards are kScreeningShardGrain wide; samples are taken only where a shard
-// end lands on a kFleetShardGrain multiple (or the fleet's end), so the materialized
-// fold samples exactly the stream-shard boundaries of the streaming mode.
-bool IsSeriesBoundary(uint64_t end_serial, uint64_t fleet_size) {
-  return end_serial % kFleetShardGrain == 0 || end_serial == fleet_size;
-}
-
 }  // namespace
 
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
                                       const ScreeningConfig& config) const {
-  // Context-free run: SDC_THREADS is consulted exactly once (context construction) and
-  // SDC_SIMD exactly once (here); sinks come from the config alone -- the legacy
-  // resolution, byte for byte.
   EngineContext context(EngineOptions{.threads = config.threads});
-  return RunWith(fleet, config, context, config.metrics, config.trace, config.series,
-                 ResolveSimdLevel(config.simd));
+  return Run(fleet, config, context);
 }
 
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
                                       const ScreeningConfig& config,
                                       EngineContext& context) const {
-  MetricsRegistry* metrics =
-      config.metrics != nullptr ? config.metrics : context.metrics();
-  TraceRecorder* trace = config.trace != nullptr ? config.trace : context.trace();
-  SeriesRecorder* series = config.series != nullptr ? config.series : context.series();
-  const SimdLevel simd = config.simd == SimdLevel::kAuto ? context.simd()
-                                                         : ClampSimdLevel(config.simd);
-  return RunWith(fleet, config, context, metrics, trace, series, simd);
+  return std::move(RunBatch(fleet, ScenarioBatch{.scenarios = {config}}, context).front());
 }
-
-ScreeningStats ScreeningPipeline::RunWith(const FleetPopulation& fleet,
-                                          const ScreeningConfig& config,
-                                          EngineContext& context,
-                                          MetricsRegistry* metrics, TraceRecorder* trace,
-                                          SeriesRecorder* series, SimdLevel simd) const {
-  const Rng base(config.seed);
-  MetricsRegistry::ScopedTimer run_timer(metrics, "screening.run.wall");
-  TraceRecorder::ScopedHostSpan run_span(trace, "screening.run", "screen",
-                                         kTraceTrackScreen);
-  ThreadPool& pool = context.pool();
-
-  // Satellite of the memoization work: the per-arch hardware model is invariant across the
-  // fleet, so it is materialized once per Run instead of once per faulty processor.
-  std::array<ProcessorSpec, kArchCount> arch_specs;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    arch_specs[static_cast<size_t>(arch)] = MakeArchSpec(arch);
-  }
-
-  // One view shape covers the whole materialized fleet; shards slice [begin, end).
-  ScreeningShardView fleet_view;
-  fleet_view.column_base = 0;
-  fleet_view.arch_bytes = fleet.arch_bytes();
-  fleet_view.flag_bytes = fleet.flag_bytes();
-  fleet_view.faulty_serials = fleet.faulty_serials();
-  fleet_view.faulty_ranges = fleet.faulty_ranges();
-  fleet_view.defects = fleet.defect_arena();
-
-  // Stats plus the shard's metric delta travel together through the ordered reduce, so
-  // the registry sees exactly one delta per shard, applied in shard order.
-  struct ShardResult {
-    ScreeningStats stats;
-    MetricsDelta delta;
-    TraceDelta trace;
-  };
-  // ParallelReduce is ParallelMap plus an in-shard-order merge on the calling thread
-  // (src/common/parallel.h); the fold is spelled out here so the series sink can sample
-  // the cumulative stats at fleet-grain boundaries of the same ordered merge.
-  std::vector<ShardResult> shard_results = pool.ParallelMap<ShardResult>(
-      0, fleet.size(), kScreeningShardGrain,
-      [&](uint64_t shard, uint64_t begin, uint64_t end) {
-        const auto shard_start = std::chrono::steady_clock::now();
-        ShardResult result;
-        ScreeningShardView view = fleet_view;
-        view.begin = begin;
-        view.end = end;
-        Rng rng = base.Fork(shard);
-        ScreenShardRange(view, config, arch_specs, shard, simd, rng, result.stats,
-                         trace != nullptr ? &result.trace : nullptr);
-        if (metrics != nullptr) {
-          result.delta = DeltaFromShardStats(result.stats);
-          const std::chrono::duration<double> elapsed =
-              std::chrono::steady_clock::now() - shard_start;
-          metrics->RecordTimerSeconds("screening.shard.wall", elapsed.count());
-        }
-        return result;
-      });
-  ShardResult total;
-  size_t detection_total = 0;
-  for (const ShardResult& shard_result : shard_results) {
-    detection_total += shard_result.stats.detections.size();
-  }
-  ReserveMergedDetections(total.stats, detection_total);
-  for (size_t shard = 0; shard < shard_results.size(); ++shard) {
-    ShardResult& shard_result = shard_results[shard];
-    total.stats.MergeFrom(std::move(shard_result.stats));
-    total.delta.MergeFrom(shard_result.delta);
-    total.trace.MergeFrom(std::move(shard_result.trace));
-    if (series != nullptr) {
-      const uint64_t end_serial =
-          std::min<uint64_t>((shard + 1) * kScreeningShardGrain, fleet.size());
-      if (IsSeriesBoundary(end_serial, fleet.size())) {
-        AppendScreeningSeriesPoint(series, end_serial, total.stats);
-      }
-    }
-  }
-  if (metrics != nullptr) {
-    metrics->MergeDelta(total.delta);
-  }
-  if (trace != nullptr) {
-    trace->MergeDelta(std::move(total.trace));
-  }
-  return std::move(total.stats);
-}
-
-namespace {
-
-// Shared clean-path level of a batch: the first cached scenario's request. Every level
-// produces the same exact counts (src/common/simd.h), so the choice is observable only in
-// wall-clock time.
-SimdLevel BatchSimdRequest(const ScenarioBatch& batch) {
-  for (const ScreeningConfig& scenario : batch.scenarios) {
-    if (!scenario.use_reference_model) {
-      return scenario.simd;
-    }
-  }
-  return SimdLevel::kAuto;
-}
-
-}  // namespace
 
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
                                                         const ScenarioBatch& batch) const {
-  const size_t k_count = batch.scenarios.size();
-  if (k_count == 0) {
-    return {};
-  }
-  // Context-free batch: per-call context, env-resolved SIMD, scenario sinks only -- the
-  // legacy resolution, byte for byte.
   EngineContext context(EngineOptions{.threads = batch.threads});
-  std::vector<MetricsRegistry*> metrics(k_count);
-  std::vector<TraceRecorder*> trace_sinks(k_count);
-  for (size_t k = 0; k < k_count; ++k) {
-    metrics[k] = batch.scenarios[k].metrics;
-    trace_sinks[k] = batch.scenarios[k].trace;
-  }
-  return RunBatchWith(fleet, batch, context, metrics, trace_sinks,
-                      batch.scenarios[0].series,
-                      ResolveSimdLevel(BatchSimdRequest(batch)));
+  return RunBatch(fleet, batch, context);
 }
 
 std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& fleet,
                                                         const ScenarioBatch& batch,
                                                         EngineContext& context) const {
-  const size_t k_count = batch.scenarios.size();
-  if (k_count == 0) {
+  if (batch.scenarios.empty()) {
     return {};
   }
-  const SimdLevel request = BatchSimdRequest(batch);
-  const SimdLevel simd =
-      request == SimdLevel::kAuto ? context.simd() : ClampSimdLevel(request);
-  MetricsRegistry* context_metrics = context.metrics();
-  TraceRecorder* context_trace = context.trace();
-  std::vector<MetricsRegistry*> metrics(k_count);
-  std::vector<TraceRecorder*> trace_sinks(k_count);
-  for (size_t k = 0; k < k_count; ++k) {
-    metrics[k] = batch.scenarios[k].metrics != nullptr ? batch.scenarios[k].metrics
-                                                       : context_metrics;
-    trace_sinks[k] = batch.scenarios[k].trace != nullptr ? batch.scenarios[k].trace
-                                                         : context_trace;
-  }
-  SeriesRecorder* series = batch.scenarios[0].series != nullptr
-                               ? batch.scenarios[0].series
-                               : context.series();
-  return RunBatchWith(fleet, batch, context, metrics, trace_sinks, series, simd);
-}
-
-std::vector<ScreeningStats> ScreeningPipeline::RunBatchWith(
-    const FleetPopulation& fleet, const ScenarioBatch& batch, EngineContext& context,
-    std::span<MetricsRegistry* const> metrics, std::span<TraceRecorder* const> trace_sinks,
-    SeriesRecorder* series, SimdLevel simd) const {
-  const size_t k_count = batch.scenarios.size();
-  const auto run_start = std::chrono::steady_clock::now();
-  ThreadPool& pool = context.pool();
-
-  std::array<ProcessorSpec, kArchCount> arch_specs;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    arch_specs[static_cast<size_t>(arch)] = MakeArchSpec(arch);
-  }
-
-  ScreeningShardView fleet_view;
-  fleet_view.column_base = 0;
-  fleet_view.arch_bytes = fleet.arch_bytes();
-  fleet_view.flag_bytes = fleet.flag_bytes();
-  fleet_view.faulty_serials = fleet.faulty_serials();
-  fleet_view.faulty_ranges = fleet.faulty_ranges();
-  fleet_view.defects = fleet.defect_arena();
-
-  // One base RNG per scenario; shard s of scenario k draws from bases[k].Fork(s) -- the
-  // stream an independent Run of scenarios[k] would fork for the same serials.
-  std::vector<Rng> bases;
-  bases.reserve(k_count);
-  for (const ScreeningConfig& scenario : batch.scenarios) {
-    bases.emplace_back(scenario.seed);
-  }
-
-  // One slot per scenario travels through the ordered reduce, so each scenario's metric
-  // sink sees exactly the per-shard deltas its independent run would, in shard order.
-  struct ShardResult {
-    std::vector<ScreeningStats> stats;
-    std::vector<MetricsDelta> deltas;
-    std::vector<TraceDelta> traces;
-  };
-  // Spelled-out ParallelMap + ordered fold (same reduction ParallelReduce performs), so
-  // scenario 0's cumulative stats can feed the series sink at fleet-grain boundaries.
-  std::vector<ShardResult> shard_results = pool.ParallelMap<ShardResult>(
-      0, fleet.size(), kScreeningShardGrain,
-      [&](uint64_t shard, uint64_t begin, uint64_t end) {
-        const auto shard_start = std::chrono::steady_clock::now();
-        ShardResult result;
-        result.stats.resize(k_count);
-        result.deltas.resize(k_count);
-        result.traces.resize(k_count);
-        ScreeningShardView view = fleet_view;
-        view.begin = begin;
-        view.end = end;
-        std::vector<Rng> rngs;
-        rngs.reserve(k_count);
-        std::vector<TraceDelta*> traces(k_count, nullptr);
-        for (size_t k = 0; k < k_count; ++k) {
-          rngs.push_back(bases[k].Fork(shard));
-          if (trace_sinks[k] != nullptr) {
-            traces[k] = &result.traces[k];
-          }
-        }
-        ScreenShardRangeBatch(view, batch.scenarios, arch_specs, shard, simd, rngs,
-                              result.stats, traces);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - shard_start;
-        for (size_t k = 0; k < k_count; ++k) {
-          if (metrics[k] != nullptr) {
-            result.deltas[k] = DeltaFromShardStats(result.stats[k]);
-            metrics[k]->RecordTimerSeconds("screening.shard.wall", elapsed.count());
-          }
-        }
-        return result;
-      });
-  ShardResult total;
-  total.stats.resize(k_count);
-  total.deltas.resize(k_count);
-  total.traces.resize(k_count);
-  for (size_t k = 0; k < k_count; ++k) {
-    size_t detection_total = 0;
-    for (const ShardResult& shard_result : shard_results) {
-      detection_total += shard_result.stats[k].detections.size();
-    }
-    ReserveMergedDetections(total.stats[k], detection_total);
-  }
-  for (size_t shard = 0; shard < shard_results.size(); ++shard) {
-    ShardResult& shard_result = shard_results[shard];
-    for (size_t k = 0; k < k_count; ++k) {
-      total.stats[k].MergeFrom(std::move(shard_result.stats[k]));
-      total.deltas[k].MergeFrom(shard_result.deltas[k]);
-      total.traces[k].MergeFrom(std::move(shard_result.traces[k]));
-    }
-    if (series != nullptr) {
-      const uint64_t end_serial =
-          std::min<uint64_t>((shard + 1) * kScreeningShardGrain, fleet.size());
-      if (IsSeriesBoundary(end_serial, fleet.size())) {
-        AppendScreeningSeriesPoint(series, end_serial, total.stats[0]);
-      }
-    }
-  }
-  const std::chrono::duration<double> run_elapsed =
-      std::chrono::steady_clock::now() - run_start;
-  for (size_t k = 0; k < k_count; ++k) {
-    if (metrics[k] != nullptr) {
-      metrics[k]->MergeDelta(total.deltas[k]);
-      metrics[k]->RecordTimerSeconds("screening.run.wall", run_elapsed.count());
-    }
-    if (trace_sinks[k] != nullptr) {
-      trace_sinks[k]->MergeDelta(std::move(total.traces[k]));
-    }
-  }
-  return std::move(total.stats);
-}
-
-void ScreeningPipeline::ScreenFaultyProcessor(uint64_t serial, int arch_index,
-                                              std::span<const Defect> defects,
-                                              const ScreeningConfig& config,
-                                              int physical_cores, Rng& rng,
-                                              ScreeningStats& stats) const {
-  // The suite-matching counts are scenario-invariant; the single-scenario path computes
-  // them inline while the batched kernel hoists them across K scenarios. Same integers
-  // either way.
-  int matching_stack[8];
-  std::vector<int> matching_heap;
-  std::span<int> matching;
-  if (defects.size() <= std::size(matching_stack)) {
-    matching = std::span<int>(matching_stack, defects.size());
-  } else {
-    matching_heap.resize(defects.size());
-    matching = matching_heap;
-  }
-  for (size_t d = 0; d < defects.size(); ++d) {
-    matching[d] = MatchingTestcases(defects[d]);
-  }
-  ScreenFaultyProcessorWithMatching(serial, arch_index, defects, matching, config,
-                                    physical_cores, rng, stats);
-}
-
-void ScreeningPipeline::ScreenFaultyProcessorWithMatching(
-    uint64_t serial, int arch_index, std::span<const Defect> defects,
-    std::span<const int> matching, const ScreeningConfig& config, int physical_cores,
-    Rng& rng, ScreeningStats& stats) const {
-  // Memoized detection model: MatchingTestcases is stage-invariant (one suite scan per
-  // defect instead of one per probe) and the per-stage survive factor is probe-invariant
-  // (ComputeSurviveTerms), so every probe in the replay is a table lookup. Nearly every
-  // faulty part carries a handful of defects, so the tables live on the stack.
-  std::array<double, kStageCount> terms_stack[8];
-  double onsets_stack[8];
-  std::vector<std::array<double, kStageCount>> terms_heap;
-  std::vector<double> onsets_heap;
-  std::span<std::array<double, kStageCount>> survive_terms;
-  std::span<double> sorted_onsets;
-  if (defects.size() <= std::size(terms_stack)) {
-    survive_terms = std::span(terms_stack, defects.size());
-    sorted_onsets = std::span(onsets_stack, defects.size());
-  } else {
-    terms_heap.resize(defects.size());
-    onsets_heap.resize(defects.size());
-    survive_terms = terms_heap;
-    sorted_onsets = onsets_heap;
-  }
-  ComputeSurviveTerms(defects, matching, config.stages, physical_cores, survive_terms);
-  for (size_t d = 0; d < defects.size(); ++d) {
-    sorted_onsets[d] = defects[d].onset_months;
-  }
-  std::sort(sorted_onsets.begin(), sorted_onsets.end());
-  ReplayFaultyProbes(serial, arch_index, defects, survive_terms, sorted_onsets, config,
-                     rng, stats);
+  StreamingScreen screen(this, batch);
+  screen.ScreenFleet(fleet, context);
+  return screen.TakeBatchStats();
 }
 
 void ScreeningPipeline::ScreenProcessorReference(const FleetProcessorView& processor,
@@ -1000,17 +641,6 @@ StreamingScreen::StreamingScreen(const ScreeningPipeline* pipeline, ScenarioBatc
   for (const ScreeningConfig& scenario : scenarios_) {
     bases_.emplace_back(scenario.seed);
   }
-  // Shared clean-path level: first cached scenario's request (every level counts
-  // identically, so this only affects wall-clock time). Legacy resolution (environment
-  // consulted) happens here at construction; a context-threaded BeginStream re-resolves
-  // the recorded request against the context instead.
-  for (const ScreeningConfig& scenario : scenarios_) {
-    if (!scenario.use_reference_model) {
-      simd_request_ = scenario.simd;
-      break;
-    }
-  }
-  simd_ = ResolveSimdLevel(simd_request_);
   for (int arch = 0; arch < kArchCount; ++arch) {
     arch_specs_[static_cast<size_t>(arch)] = MakeArchSpec(arch);
   }
@@ -1024,20 +654,16 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
                                              const PopulationConfig& config,
                                              uint64_t shard_count) {
   const size_t k_count = scenarios_.size();
-  if (context != nullptr) {
-    simd_ = simd_request_ == SimdLevel::kAuto ? context->simd()
-                                              : ClampSimdLevel(simd_request_);
-  }
+  simd_ = context->simd();
   // Pin the per-scenario sinks for the whole pass: the scenario's explicit sink wins,
   // the context's attachment as of *now* backs it up. ConsumeShard / EndStream only ever
   // look at these pins, so a detach on the context mid-stream can neither drop nor
   // double-merge a shard's delta.
-  MetricsRegistry* context_metrics = context != nullptr ? context->metrics() : nullptr;
-  TraceRecorder* context_trace = context != nullptr ? context->trace() : nullptr;
-  SeriesRecorder* context_series = context != nullptr ? context->series() : nullptr;
+  MetricsRegistry* context_metrics = context->metrics();
+  TraceRecorder* context_trace = context->trace();
   pinned_series_ = !scenarios_.empty() && scenarios_.front().series != nullptr
                        ? scenarios_.front().series
-                       : context_series;
+                       : context->series();
   processors_total_ = config.processor_count;
   pinned_metrics_.assign(k_count, nullptr);
   pinned_trace_.assign(k_count, nullptr);
@@ -1047,66 +673,56 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
     pinned_trace_[k] =
         scenarios_[k].trace != nullptr ? scenarios_[k].trace : context_trace;
   }
-  shard_stats_.assign(shard_count, std::vector<ScreeningStats>(k_count));
-  shard_deltas_.assign(shard_count, std::vector<MetricsDelta>(k_count));
-  shard_traces_.assign(shard_count, std::vector<TraceDelta>(k_count));
+  // One slot table, one large allocation: the K-wide vectors inside each slot are small.
+  ShardSlot empty;
+  empty.stats.resize(k_count);
+  empty.deltas.resize(k_count);
+  empty.traces.resize(k_count);
+  slots_.assign(shard_count, empty);
   stats_.assign(k_count, ScreeningStats{});
   for (const ObserverEntry& entry : observers_) {
     entry.observer->BeginStream(config, scenarios_[entry.scenario], shard_count);
   }
 }
 
-void StreamingScreen::BeginStream(const PopulationConfig& config, uint64_t shard_count) {
-  BeginStreamWithContext(nullptr, config, shard_count);
-}
-
 void StreamingScreen::ConsumeShard(const FleetShard& shard) {
   const auto shard_start = std::chrono::steady_clock::now();
   const size_t k_count = scenarios_.size();
-  std::vector<ScreeningStats>& stats = shard_stats_[shard.shard];
-
-  ScreeningShardView view;
-  view.column_base = shard.begin;
-  view.arch_bytes = shard.arch_bytes;
-  view.flag_bytes = shard.flag_bytes;
-  view.faulty_serials = shard.faulty_serials;
-  view.faulty_ranges = shard.faulty_ranges;
-  view.defects = shard.defects;
+  ShardSlot& slot = slots_[shard.shard];
 
   std::vector<TraceDelta*> traces(k_count, nullptr);
   for (size_t k = 0; k < k_count; ++k) {
     if (pinned_trace_[k] != nullptr) {
-      traces[k] = &shard_traces_[shard.shard][k];
+      traces[k] = &slot.traces[k];
     }
   }
 
   // Stream shards start at multiples of kFleetShardGrain, so b / kScreeningShardGrain is
-  // the *global* screening shard index: the embedded sub-shards use exactly the RNG
-  // streams the materialized Run would fork for the same serials.
+  // the *global* screening shard index: every embedded sub-shard draws from the same
+  // Rng::Fork stream whichever mode produced the shard.
   std::vector<Rng> rngs;
   rngs.reserve(k_count);
   for (uint64_t b = shard.begin; b < shard.end; b += kScreeningShardGrain) {
     const uint64_t screening_shard = b / kScreeningShardGrain;
-    view.begin = b;
-    view.end = std::min(b + kScreeningShardGrain, shard.end);
     rngs.clear();
     for (size_t k = 0; k < k_count; ++k) {
       rngs.push_back(bases_[k].Fork(screening_shard));
     }
-    pipeline_->ScreenShardRangeBatch(view, scenarios_, arch_specs_, screening_shard,
-                                     simd_, rngs, stats, traces);
+    pipeline_->ScreenShardRangeBatch(shard, b, std::min(b + kScreeningShardGrain, shard.end),
+                                     scenarios_, arch_specs_, screening_shard, simd_, rngs,
+                                     slot.stats, traces);
   }
 
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - shard_start;
   for (size_t k = 0; k < k_count; ++k) {
     if (pinned_metrics_[k] != nullptr) {
-      shard_deltas_[shard.shard][k] = DeltaFromShardStats(stats[k]);
+      slot.deltas[k] = DeltaFromShardStats(slot.stats[k]);
       pinned_metrics_[k]->RecordTimerSeconds("screening.shard.wall", elapsed.count());
     }
   }
   for (const ObserverEntry& entry : observers_) {
-    entry.observer->ObserveShard(shard, stats[entry.scenario]);
+    entry.observer->ObserveShard(shard, slot.stats[entry.scenario]);
   }
 }
 
@@ -1121,25 +737,25 @@ void StreamingScreen::EndStream() {
   std::vector<MetricsDelta> total_deltas(k_count);
   for (size_t k = 0; k < k_count; ++k) {
     size_t detection_total = 0;
-    for (const std::vector<ScreeningStats>& shard : shard_stats_) {
-      detection_total += shard[k].detections.size();
+    for (const ShardSlot& slot : slots_) {
+      detection_total += slot.stats[k].detections.size();
     }
     ReserveMergedDetections(stats_[k], detection_total);
   }
-  for (size_t shard = 0; shard < shard_stats_.size(); ++shard) {
+  for (size_t shard = 0; shard < slots_.size(); ++shard) {
+    ShardSlot& slot = slots_[shard];
     for (size_t k = 0; k < k_count; ++k) {
-      stats_[k].MergeFrom(std::move(shard_stats_[shard][k]));
+      stats_[k].MergeFrom(std::move(slot.stats[k]));
       if (pinned_metrics_[k] != nullptr) {
-        total_deltas[k].MergeFrom(shard_deltas_[shard][k]);
+        total_deltas[k].MergeFrom(slot.deltas[k]);
       }
       if (pinned_trace_[k] != nullptr) {
-        pinned_trace_[k]->MergeDelta(std::move(shard_traces_[shard][k]));
+        pinned_trace_[k]->MergeDelta(std::move(slot.traces[k]));
       }
     }
     if (pinned_series_ != nullptr) {
-      // Stream shards end exactly at the materialized fold's fleet-grain boundaries, and
-      // scenario 0's cumulative stats match shard for shard, so these are the same
-      // points RunWith appends -- byte-identical across execution modes.
+      // One cumulative point per stream shard, at its end serial: kFleetShardGrain
+      // multiples plus the fleet's end, in both execution modes.
       const uint64_t end_serial =
           std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_);
       AppendScreeningSeriesPoint(pinned_series_, end_serial, stats_[0]);
@@ -1150,14 +766,30 @@ void StreamingScreen::EndStream() {
       pinned_metrics_[k]->MergeDelta(total_deltas[k]);
     }
   }
-  shard_stats_.clear();
-  shard_stats_.shrink_to_fit();
-  shard_deltas_.clear();
-  shard_deltas_.shrink_to_fit();
-  shard_traces_.clear();
-  shard_traces_.shrink_to_fit();
+  slots_.clear();
+  slots_.shrink_to_fit();
   for (const ObserverEntry& entry : observers_) {
     entry.observer->EndStream();
+  }
+}
+
+void StreamingScreen::ScreenFleet(const FleetPopulation& fleet, EngineContext& context) {
+  const auto run_start = std::chrono::steady_clock::now();
+  BeginStreamWithContext(&context, fleet.config(),
+                         ThreadPool::ShardCountFor(0, fleet.size(), kFleetShardGrain));
+  TraceRecorder::ScopedHostSpan run_span(pinned_trace_.front(), "screening.run", "screen",
+                                         kTraceTrackScreen);
+  context.pool().ParallelFor(0, fleet.size(), kFleetShardGrain,
+                             [&](uint64_t shard, uint64_t /*begin*/, uint64_t /*end*/) {
+                               ConsumeShard(fleet.Shard(shard));
+                             });
+  EndStream();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - run_start;
+  for (MetricsRegistry* metrics : pinned_metrics_) {
+    if (metrics != nullptr) {
+      metrics->RecordTimerSeconds("screening.run.wall", elapsed.count());
+    }
   }
 }
 

@@ -13,7 +13,7 @@
 // which is exactly why Table 1's re-install column dominates).
 //
 // Cost model (docs/performance.md): the per-defect expected-error terms depend only on
-// (defect, stage params, core count), so Run evaluates them exactly once per faulty
+// (defect, stage params, core count), so screening evaluates them exactly once per faulty
 // processor and memoizes the per-stage survive factors. Pre-production probes are then
 // table lookups, and the regular-cycle loop re-derives its detection probability only
 // when a wear-out defect's onset month is crossed -- every other cycle is a cached
@@ -81,9 +81,9 @@ struct ScreeningConfig {
   // machine tests at the same month boundaries.
   int regular_groups = 6;
   uint64_t seed = 77;
-  // Worker threads for ScreeningPipeline::Run: 0 = hardware concurrency, 1 = serial.
-  // Stats are bit-identical for a given seed at any thread count (see docs/parallelism.md);
-  // SDC_THREADS overrides this value.
+  // Worker threads for the context-free ScreeningPipeline::Run: 0 = hardware concurrency,
+  // 1 = serial. Stats are bit-identical for a given seed at any thread count (see
+  // docs/parallelism.md); SDC_THREADS overrides this value.
   int threads = 0;
   // Test-only hook: run the slow pre-memoization model that recomputes MatchingTestcases
   // and ExpectedErrors at every probe. Output must be byte-identical to the default
@@ -99,11 +99,6 @@ struct ScreeningConfig {
   // materialized/streaming modes. Null disables recording at the cost of one pointer test
   // per shard (docs/observability.md).
   TraceRecorder* trace = nullptr;
-  // Vector level for the clean-path column scan (docs/performance.md). kAuto picks the
-  // best the host supports; the SDC_SIMD environment variable and -DSDC_FORCE_SCALAR
-  // override it (src/common/simd.h). Every level produces bit-identical stats -- this is
-  // a speed knob, never a behavior change.
-  SimdLevel simd = SimdLevel::kAuto;
   // Optional time-series sink: cumulative "screening.tested" / "screening.detected" /
   // "screening.escapes" trajectories over the fleet's serial axis, one point per
   // kFleetShardGrain of serials. Points are appended during the shard-ordered fold on
@@ -190,47 +185,18 @@ struct ScreeningStats {
   void MergeFrom(ScreeningStats&& other);
 };
 
-// Column-backed view of one screening shard [begin, end). The spans either cover the
-// whole materialized fleet (column_base = 0) or one stream shard's scratch buffer
-// (column_base = the stream shard's begin); faulty_serials always holds global serials,
-// and faulty_ranges offsets address `defects`. This is the one shard shape the screening
-// kernel runs on, which is how the materialized and streaming modes share every
-// instruction of the hot loop.
-struct ScreeningShardView {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  uint64_t column_base = 0;  // serial that arch_bytes[0] / flag_bytes[0] describe
-  std::span<const uint8_t> arch_bytes;
-  std::span<const uint8_t> flag_bytes;
-  std::span<const uint64_t> faulty_serials;
-  std::span<const DefectRange> faulty_ranges;
-  std::span<const Defect> defects;
-
-  int arch_index(uint64_t serial) const { return arch_bytes[serial - column_base]; }
-  bool toolchain_detectable(uint64_t serial) const {
-    return (flag_bytes[serial - column_base] & FleetPopulation::kDetectableFlag) != 0;
-  }
-  std::span<const Defect> FaultyDefects(size_t ordinal) const {
-    const DefectRange& range = faulty_ranges[ordinal];
-    return {defects.data() + range.offset, range.count};
-  }
-  std::span<const Defect> DefectsOf(uint64_t serial) const;
-  FleetProcessorView processor(uint64_t serial) const;
-};
-
 class ScreeningPipeline {
  public:
   // `suite` provides testcase metadata for matching-minutes computation; it must outlive
   // the pipeline.
   explicit ScreeningPipeline(const TestSuite* suite);
 
-  // Screens the whole fleet. Sharded across config.threads workers; per-shard stats are
-  // merged in shard order and each shard draws from its own forked RNG stream, so the
-  // result is bit-identical at any thread count. The context-free form constructs a fresh
-  // EngineContext per call (SDC_THREADS / SDC_SIMD consulted exactly there); the explicit
-  // form runs on the caller's context -- its pool supplies the lanes, its attached sinks
-  // back any config sink left null (pinned once at pass start), and config.simd == kAuto
-  // resolves to the context's level with no environment read (src/common/context.h).
+  // Screens the whole fleet: a batch of one. Per-shard stats are merged in shard order and
+  // each screening shard draws from its own forked RNG stream, so the result is
+  // bit-identical at any thread count. The pass runs on `context` -- its pool supplies the
+  // lanes, its vector level drives the clean-path scan, and its attached sinks back any
+  // config sink left null, pinned once at pass start (src/common/context.h). The
+  // context-free form is shorthand for a fresh EngineContext built from config.threads.
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config) const;
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config,
                      EngineContext& context) const;
@@ -239,9 +205,11 @@ class ScreeningPipeline {
   // columns. Result k is byte-identical to Run(fleet, batch.scenarios[k]) -- counters,
   // detections, detection months bitwise, metrics deltas -- at any thread count; the
   // clean-path scan and the per-defect suite matching are paid once per shard instead of
-  // once per scenario. Returns one ScreeningStats per scenario, in batch order. Context
-  // forms mirror Run: per-scenario sinks fall back to the context's attachments, pinned
-  // once at pass start.
+  // once per scenario. Returns one ScreeningStats per scenario, in batch order. The pass
+  // is a StreamingScreen fed FleetPopulation::Shard views on the context's pool, so both
+  // execution modes share one shard loop and one ordered fold; per-scenario sinks fall
+  // back to the context's attachments, pinned once at pass start. The context-free form
+  // builds a fresh EngineContext from batch.threads.
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
                                        const ScenarioBatch& batch) const;
   std::vector<ScreeningStats> RunBatch(const FleetPopulation& fleet,
@@ -258,66 +226,31 @@ class ScreeningPipeline {
  private:
   friend class StreamingScreen;
 
-  // Shared bodies of the Run / RunBatch overloads. `metrics` / `trace` (one per scenario
-  // for the batch form) are the pinned sinks for the whole pass and `simd` the resolved
-  // level; the pool is context.pool(). Neither body reads the environment.
-  ScreeningStats RunWith(const FleetPopulation& fleet, const ScreeningConfig& config,
-                         EngineContext& context, MetricsRegistry* metrics,
-                         TraceRecorder* trace, SeriesRecorder* series,
-                         SimdLevel simd) const;
-  std::vector<ScreeningStats> RunBatchWith(const FleetPopulation& fleet,
-                                           const ScenarioBatch& batch,
-                                           EngineContext& context,
-                                           std::span<MetricsRegistry* const> metrics,
-                                           std::span<TraceRecorder* const> traces,
-                                           SeriesRecorder* series, SimdLevel simd) const;
-
-  // The screening kernel: screens serials [view.begin, view.end) against `rng`,
-  // accumulating into `stats` (counters add, so one stats object may accumulate several
-  // consecutive shards). Runs the memoized clean-part fast path, or the reference model
-  // when config.use_reference_model is set. Both Run and StreamingScreen call exactly
-  // this, one screening shard (kScreeningShardGrain) per forked RNG stream; `sub_shard`
-  // is that global shard index -- stamped into every new provenance record and, when
-  // `trace` is non-null, emitted as the shard's "screen.subshard" span plus one
-  // "detection" instant per new detection.
-  void ScreenShardRange(const ScreeningShardView& view, const ScreeningConfig& config,
-                        const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                        uint64_t sub_shard, SimdLevel simd, Rng& rng,
+  // Reference-model screening of serials [begin, end) of `shard` against `rng`: the
+  // per-processor oracle (ScreenProcessorReference), one screening shard
+  // (kScreeningShardGrain) per forked RNG stream. `sub_shard` is that global shard index,
+  // stamped into every new provenance record and, when `trace` is non-null, emitted as the
+  // shard's "screen.subshard" span plus one "detection" instant per new detection. The
+  // batched kernel falls back to this for scenarios with config.use_reference_model.
+  void ScreenShardRange(const FleetShard& shard, uint64_t begin, uint64_t end,
+                        const ScreeningConfig& config, uint64_t sub_shard, Rng& rng,
                         ScreeningStats& stats, TraceDelta* trace) const;
 
-  // Batched screening kernel: one pass over [view.begin, view.end) that accumulates into
-  // stats[k] for every scenario k, drawing scenario k's randomness only from rngs[k] in
-  // serial order -- the reason each slot is byte-identical to a ScreenShardRange call for
-  // that scenario alone. Cached-model scenarios share the SIMD arch histogram and the
-  // per-defect MatchingTestcases memo; reference-model scenarios fall back to the
-  // per-scenario kernel (still amortizing shard generation in streaming mode).
+  // The screening kernel: one pass over serials [begin, end) of `shard` (a stream shard
+  // or a FleetPopulation::Shard view: the one shape screening runs on, which is how both
+  // execution modes share every instruction of the hot loop) that accumulates into
+  // stats[k] for every scenario k (counters add, so one stats object may accumulate
+  // several consecutive sub-shards), drawing scenario k's randomness only from rngs[k] in
+  // serial order -- the reason each slot is byte-identical to a run of that scenario
+  // alone. Cached-model scenarios share the SIMD arch histogram and the per-defect
+  // MatchingTestcases memo; reference-model scenarios fall back to ScreenShardRange.
   // traces[k] may be null per scenario. All spans must have scenarios.size() entries.
-  void ScreenShardRangeBatch(const ScreeningShardView& view,
+  void ScreenShardRangeBatch(const FleetShard& shard, uint64_t begin, uint64_t end,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
                              uint64_t sub_shard, SimdLevel simd, std::span<Rng> rngs,
                              std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
-
-  // Memoized fast path: screens one faulty, toolchain-detectable processor. Evaluates the
-  // detection model once per (defect, stage), then replays the probe schedule against the
-  // cached survive terms, drawing all randomness from `rng` in the same order as the
-  // reference implementation.
-  void ScreenFaultyProcessor(uint64_t serial, int arch_index,
-                             std::span<const Defect> defects,
-                             const ScreeningConfig& config, int physical_cores, Rng& rng,
-                             ScreeningStats& stats) const;
-
-  // ScreenFaultyProcessor with the per-defect MatchingTestcases counts precomputed
-  // (matching[d] = MatchingTestcases(defects[d])). The suite scan is the dominant cost of
-  // a faulty part and is scenario-invariant, so the batched kernel computes it once per
-  // part and replays K scenarios against it -- the counts are the same integers either
-  // way, so this refactor cannot perturb a bit of output.
-  void ScreenFaultyProcessorWithMatching(uint64_t serial, int arch_index,
-                                         std::span<const Defect> defects,
-                                         std::span<const int> matching,
-                                         const ScreeningConfig& config, int physical_cores,
-                                         Rng& rng, ScreeningStats& stats) const;
 
   // Pre-memoization implementation, kept verbatim as the equivalence-test oracle. Screens
   // one processor (clean parts included), recomputing MatchingTestcases / ExpectedErrors
@@ -350,10 +283,11 @@ class ShardOutcomeObserver {
 
 // Fused streaming screener: a ShardConsumer that screens every generated shard in place,
 // so generate -> screen -> aggregate happens in one pass without materializing the fleet.
-// Each stream shard is screened as its embedded kScreeningShardGrain sub-shards with the
-// same globally-indexed Rng::Fork streams the materialized Run uses, and per-shard stats
-// and metric deltas are merged in shard order in EndStream -- TakeStats() is therefore
-// byte-identical to Run() on the materialized fleet at any thread count
+// It is also the only screening driver: ScreeningPipeline::Run / RunBatch feed it
+// FleetPopulation::Shard views of a materialized fleet. Each shard is screened as its
+// embedded kScreeningShardGrain sub-shards with globally-indexed Rng::Fork streams, and
+// per-shard stats and metric deltas are merged in shard order in EndStream -- TakeStats()
+// is therefore byte-identical across the two modes at any thread count
 // (tests/stream_test.cc).
 //
 // Batched form: constructed from a ScenarioBatch, the consumer screens every generated
@@ -374,15 +308,12 @@ class StreamingScreen : public ShardConsumer {
   // scenario's shard stats.
   void AddObserver(ShardOutcomeObserver* observer, size_t scenario = 0);
 
-  // Context-threaded begin: pins per-scenario sinks (explicit scenario sink wins, the
-  // context's attachment backs it up) and, when the scenario requested kAuto, takes the
-  // context's resolved vector level -- no environment read. A detach on the context
-  // between shards cannot drop or double-merge a delta: the pass completes against what
-  // was pinned here. The context-free BeginStream keeps the legacy resolution
-  // (construction-time ResolveSimdLevel, scenario sinks only).
+  // Pins per-scenario sinks (explicit scenario sink wins, the context's attachment backs
+  // it up) and takes the context's vector level -- no environment read. A detach on the
+  // context between shards cannot drop or double-merge a delta: the pass completes
+  // against what was pinned here.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
-  void BeginStream(const PopulationConfig& config, uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 
@@ -395,18 +326,29 @@ class StreamingScreen : public ShardConsumer {
   std::vector<ScreeningStats> TakeBatchStats() { return std::move(stats_); }
 
  private:
+  friend class ScreeningPipeline;
+
   struct ObserverEntry {
     ShardOutcomeObserver* observer = nullptr;
     size_t scenario = 0;
   };
+  // One stream shard's partial results, one entry per scenario in each vector, merged in
+  // shard order by EndStream.
+  struct ShardSlot {
+    std::vector<ScreeningStats> stats;
+    std::vector<MetricsDelta> deltas;
+    std::vector<TraceDelta> traces;
+  };
+
+  // The materialized driver behind ScreeningPipeline::RunBatch: one BeginStream /
+  // ConsumeShard / EndStream pass over fleet.Shard(s) views on context.pool(), timed as
+  // "screening.run.wall" / the "screening.run" host span.
+  void ScreenFleet(const FleetPopulation& fleet, EngineContext& context);
 
   const ScreeningPipeline* pipeline_;
   std::vector<ScreeningConfig> scenarios_;
   std::vector<Rng> bases_;  // one base RNG per scenario, forked per screening shard
-  // Legacy resolution happens at construction (simd_); a context-threaded BeginStream
-  // re-resolves the recorded request against the context instead.
-  SimdLevel simd_request_ = SimdLevel::kAuto;
-  SimdLevel simd_ = SimdLevel::kScalar;
+  SimdLevel simd_ = SimdLevel::kScalar;  // the context's level, taken at pass start
   std::array<ProcessorSpec, kArchCount> arch_specs_;
   std::vector<ObserverEntry> observers_;
   // Sinks pinned at pass start (scenario sink, else context attachment), used by
@@ -415,13 +357,10 @@ class StreamingScreen : public ShardConsumer {
   std::vector<TraceRecorder*> pinned_trace_;
   // Series sink for scenario 0 (the batch contract ScreeningConfig::series documents),
   // pinned like the other sinks; EndStream appends one cumulative point per stream shard
-  // during its ordered fold, at exactly the fleet-grain boundaries RunWith samples.
+  // during its ordered fold.
   SeriesRecorder* pinned_series_ = nullptr;
   uint64_t processors_total_ = 0;  // for the final (partial-shard) sample boundary
-  // Per-stream-shard, per-scenario partials, merged in shard order by EndStream.
-  std::vector<std::vector<ScreeningStats>> shard_stats_;
-  std::vector<std::vector<MetricsDelta>> shard_deltas_;
-  std::vector<std::vector<TraceDelta>> shard_traces_;
+  std::vector<ShardSlot> slots_;   // indexed by shard
   std::vector<ScreeningStats> stats_;  // one per scenario after EndStream
 };
 

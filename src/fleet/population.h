@@ -27,6 +27,7 @@
 namespace sdc {
 
 class EngineContext;
+struct FleetShard;
 class MetricsRegistry;
 class Rng;
 class SeriesRecorder;
@@ -81,10 +82,6 @@ struct PopulationConfig {
   // index, defect arena, tallies -- which tests and bench/micro_screening assert; the
   // flag exists so that equivalence stays checkable forever (the PR 3 / PR 6 precedent).
   bool use_reference_generator = false;
-  // Vector level for the blocked generator's classify/tally kernels. kAuto resolves to
-  // the context's level (context overloads) or via SDC_SIMD + host detection (legacy
-  // overloads); any level generates identical bytes, so this is purely a speed knob.
-  SimdLevel simd = SimdLevel::kAuto;
   // Optional metric sink ("fleet.generate.*"): per-shard deltas merged in shard order, so
   // recorded values obey the same thread-count invariance as the fleet itself
   // (docs/observability.md). Null disables instrumentation.
@@ -149,14 +146,11 @@ struct GenerationPlan {
   std::array<int, kArchCount> pcores_by_arch{};  // hoisted MakeArchSpec(...).physical_cores
   WeightedCdf arch_cdf;                        // exact replica of NextWeighted(shares)
   DrawClassifyTables tables;                   // arch CDF + prevalence thresholds, u53 space
-  SimdLevel simd = SimdLevel::kScalar;         // resolved level for classify + tally
+  SimdLevel simd = SimdLevel::kScalar;         // context's level for classify + tally
   bool blocked = false;
 
-  // Legacy resolve: SDC_SIMD consulted here (once per plan), mirroring the context-free
-  // screening entry points.
-  static GenerationPlan Build(const PopulationConfig& config);
-  // Context resolve: the level captured at context construction backs a kAuto request;
-  // no environment read (src/common/context.h).
+  // The vector level is the one the context captured at construction (EngineOptions::simd,
+  // src/common/context.h); any level generates identical bytes, so it is a speed knob.
   static GenerationPlan Build(const PopulationConfig& config, EngineContext& context);
 };
 
@@ -164,14 +158,11 @@ struct GenerationPlan {
 // (cleared first), drawing every random value from base.Fork(shard) where `base` is
 // Rng(config.seed). This is the single generation kernel: FleetPopulation::Generate and
 // FleetShardStream both call it, so the materialized and streaming fleets are identical
-// bytes by construction. `begin` must equal shard * kFleetShardGrain. The plan-taking
-// form is the hot one (the stream builds one plan for the whole pass); the plan-free
-// form builds a throwaway plan per call and exists for tests and one-shot callers.
+// bytes by construction. `begin` must equal shard * kFleetShardGrain; `plan` is built once
+// per pass and shared by every shard.
 void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& plan,
                         const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
                         FleetShardBuffer& buffer);
-void GenerateFleetShard(const PopulationConfig& config, const Rng& base, uint64_t shard,
-                        uint64_t begin, uint64_t end, FleetShardBuffer& buffer);
 
 class FleetPopulation {
  public:
@@ -179,11 +170,10 @@ class FleetPopulation {
   static constexpr uint8_t kFaultyFlag = 1;
   static constexpr uint8_t kDetectableFlag = 2;
 
-  // Context-free form: constructs a fresh EngineContext per call (SDC_THREADS consulted
-  // exactly there). The explicit form generates on the caller's context -- its pool
-  // supplies the lanes and its attached sinks back any config sink left null, so no
-  // mutable process-global state is read after the context was built
-  // (src/common/context.h).
+  // Generates on `context`: its pool supplies the lanes, its vector level drives the
+  // blocked kernel, and its attached sinks back any config sink left null, so no mutable
+  // process-global state is read after the context was built (src/common/context.h). The
+  // context-free form is shorthand for a fresh EngineContext built from config.threads.
   static FleetPopulation Generate(const PopulationConfig& config);
   static FleetPopulation Generate(const PopulationConfig& config, EngineContext& context);
 
@@ -207,8 +197,7 @@ class FleetPopulation {
   // instead of testing every processor's flag byte.
   const std::vector<uint64_t>& faulty_serials() const { return faulty_serials_; }
 
-  // Arena slice per faulty part, parallel to faulty_serials(). Exposed so column-view
-  // consumers (ScreeningShardView) can address the arena without per-part calls.
+  // Arena slice per faulty part, parallel to faulty_serials(); Shard() slices it.
   const std::vector<DefectRange>& faulty_ranges() const { return faulty_ranges_; }
 
   // Defects of the faulty part at `ordinal` within faulty_serials().
@@ -219,6 +208,13 @@ class FleetPopulation {
 
   // Defects of an arbitrary processor (empty for clean parts). O(log faulty_count).
   std::span<const Defect> DefectsOf(uint64_t serial) const;
+
+  // Stream shard `shard` of this fleet ([shard, shard + 1) * kFleetShardGrain, clipped to
+  // size()) as the view a FleetShardStream pass hands its consumers: column slices, the
+  // shard's subrange of the faulty index, and its defect ranges at arena-global offsets
+  // into the whole defect_arena(). tally is null -- the materialized fleet keeps no
+  // per-shard tallies. This is how materialized screening rides the streaming screener.
+  FleetShard Shard(uint64_t shard) const;
 
   // Assembled per-processor view for callers that want all fields together.
   FleetProcessorView processor(uint64_t serial) const {

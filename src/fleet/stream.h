@@ -31,19 +31,23 @@ namespace sdc {
 
 class EngineContext;
 
-// Borrowed view of one generated shard, valid only for the duration of
+// Borrowed view of one fleet shard, valid only for the duration of
 // ShardConsumer::ConsumeShard. Serial-indexed accessors take global serials in
-// [begin, end); the packed columns are indexed serial - begin.
+// [begin, end); the packed columns are indexed serial - begin. A FleetShardStream pass
+// hands out freshly generated shards (shard-local arena, tally set);
+// FleetPopulation::Shard hands out slices of a materialized fleet (the whole arena,
+// tally null). Consumers that only read the columns and the faulty index -- the
+// screener -- cannot tell the two apart.
 struct FleetShard {
   uint64_t shard = 0;
   uint64_t begin = 0;
   uint64_t end = 0;
-  const FleetShardTally* tally = nullptr;
+  const FleetShardTally* tally = nullptr;     // null for materialized-fleet views
   std::span<const uint8_t> arch_bytes;        // indexed by serial - begin
   std::span<const uint8_t> flag_bytes;        // indexed by serial - begin
   std::span<const uint64_t> faulty_serials;   // global serials, ascending
   std::span<const DefectRange> faulty_ranges; // offsets into `defects`
-  std::span<const Defect> defects;            // shard-local arena
+  std::span<const Defect> defects;            // arena the ranges address
 
   uint64_t size() const { return end - begin; }
   int arch_index(uint64_t serial) const { return arch_bytes[serial - begin]; }
@@ -79,15 +83,13 @@ class ShardConsumer {
  public:
   virtual ~ShardConsumer();
 
-  // Called once before any shard, on the driving thread. Context-threaded drives
-  // (Drive(consumers, EngineContext&)) pass their context so consumers can resolve
-  // telemetry sinks and the vector level from it -- and PIN them for the whole pass
-  // (src/common/context.h); context-free drives pass null. The default implementation
-  // forwards to the context-free BeginStream, so existing consumers need no changes.
+  // Called once before any shard, on the driving thread, with the pass's context (never
+  // null) so consumers can resolve telemetry sinks and the vector level from it -- and
+  // PIN them for the whole pass (src/common/context.h). The default implementation
+  // forwards to BeginStream, for consumers that do not care about the context.
   virtual void BeginStreamWithContext(EngineContext* context,
                                       const PopulationConfig& config,
                                       uint64_t shard_count);
-  // Context-free form, kept for consumers that do not care about contexts.
   virtual void BeginStream(const PopulationConfig& config, uint64_t shard_count);
   // Called once per shard; thread-safe against itself on distinct shards.
   virtual void ConsumeShard(const FleetShard& shard) = 0;
@@ -117,11 +119,10 @@ class FleetShardStream {
   uint64_t shard_count() const;
 
   // Runs the pass; consumers are invoked in the given order on every shard. Blocks until
-  // every shard has been consumed and EndStream ran on every consumer. The context-free
-  // form constructs a fresh EngineContext per call (environment consulted exactly there);
-  // the explicit form reuses the caller's context -- its pool supplies the lanes, and its
-  // attached sinks back any config sink left null, pinned once at pass start
-  // (src/common/context.h).
+  // every shard has been consumed and EndStream ran on every consumer. The pass runs on
+  // `context`: its pool supplies the lanes, and its attached sinks back any config sink
+  // left null, pinned once at pass start (src/common/context.h). The context-free form is
+  // shorthand for a fresh EngineContext built from config.threads.
   StreamReport Drive(std::span<ShardConsumer* const> consumers) const;
   StreamReport Drive(std::initializer_list<ShardConsumer*> consumers) const;
   StreamReport Drive(std::span<ShardConsumer* const> consumers,
@@ -130,12 +131,6 @@ class FleetShardStream {
                      EngineContext& context) const;
 
  private:
-  // `consumer_context` is what BeginStreamWithContext observes: the caller's context for
-  // explicit drives, null for context-free drives (whose internal context only supplies
-  // the pool, preserving the legacy sink and SIMD resolution exactly).
-  StreamReport DriveWith(std::span<ShardConsumer* const> consumers, EngineContext& context,
-                         EngineContext* consumer_context) const;
-
   PopulationConfig config_;
 };
 
@@ -150,7 +145,6 @@ class FleetMaterializer : public ShardConsumer {
   // context's attachment as of pass start.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
-  void BeginStream(const PopulationConfig& config, uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
   void EndStream() override;
 
@@ -166,7 +160,7 @@ class FleetMaterializer : public ShardConsumer {
 
   FleetPopulation* fleet_;
   std::vector<ShardPiece> pieces_;
-  TraceRecorder* trace_ = nullptr;  // from the stream's PopulationConfig
+  TraceRecorder* trace_ = nullptr;  // pinned at BeginStreamWithContext
 };
 
 }  // namespace sdc

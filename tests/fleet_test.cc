@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
@@ -119,9 +120,8 @@ FleetPopulation GenerateVariant(uint64_t processors, uint64_t seed, bool referen
   config.processor_count = processors;
   config.seed = seed;
   config.use_reference_generator = reference;
-  config.simd = simd;
-  config.threads = threads;
-  return FleetPopulation::Generate(config);
+  EngineContext context(EngineOptions{.threads = threads, .simd = simd});
+  return FleetPopulation::Generate(config, context);
 }
 
 // Shared mid-size fleet (200k parts) to keep the statistical tests fast but stable.

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/fleet/pipeline.h"
@@ -290,10 +291,8 @@ class SimdScreeningTest : public ::testing::Test {
   static ScreeningStats Screen(const FleetPopulation& fleet, SimdLevel simd,
                                int threads = 2) {
     ScreeningPipeline pipeline(suite_);
-    ScreeningConfig config;
-    config.threads = threads;
-    config.simd = simd;
-    return pipeline.Run(fleet, config);
+    EngineContext context(EngineOptions{.threads = threads, .simd = simd});
+    return pipeline.Run(fleet, ScreeningConfig{}, context);
   }
 
   static void ExpectIdentical(const ScreeningStats& a, const ScreeningStats& b) {
@@ -388,14 +387,13 @@ TEST_F(SimdScreeningTest, BatchedScreenIgnoresDispatchLevelBitwise) {
   ScreeningPipeline pipeline(suite_);
   const auto run_batch = [&](SimdLevel simd) {
     ScenarioBatch batch;
-    batch.threads = 2;
     for (int k = 0; k < 3; ++k) {
       ScreeningConfig scenario;
       scenario.seed = 77 + static_cast<uint64_t>(k);
-      scenario.simd = simd;
       batch.scenarios.push_back(scenario);
     }
-    return pipeline.RunBatch(fleet, batch);
+    EngineContext context(EngineOptions{.threads = 2, .simd = simd});
+    return pipeline.RunBatch(fleet, batch, context);
   };
   const std::vector<ScreeningStats> scalar = run_batch(SimdLevel::kScalar);
   const std::vector<ScreeningStats> automatic = run_batch(SimdLevel::kAuto);

@@ -24,6 +24,7 @@
 #include "src/fleet/stream.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/series.h"
 
 // Allocation probe for the fold-cost tests: while armed, every heap allocation of at
 // least kLargeAllocationBytes, on any thread, is counted. Replacing the global operator
@@ -308,6 +309,102 @@ TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
   }
 }
 
+// ----- one driver: materialized slicing at shard edges ------------------------------
+//
+// Materialized Run and RunBatch feed StreamingScreen FleetPopulation::Shard views of the
+// generated fleet. These sizes hit the edges of that slicing: the empty fleet, a lone
+// processor, screening-shard tails (4095, 4097), stream-shard tails (8191, 8193) and a
+// partial second screening shard inside a stream shard (12289 = 3 * 4096 + 1). The
+// elevated defect rate gives every shard faulty parts to slice.
+
+// What one screening pass leaves behind: the stats plus the deterministic part of its
+// metrics registry and series recorder.
+struct ScreenedOutputs {
+  ScreeningStats stats;
+  std::string metrics;
+  std::string series;
+};
+
+class ScreenSinks {
+ public:
+  ScreeningConfig Attach(ScreeningConfig config) {
+    config.metrics = &registry_;
+    config.series = &series_;
+    return config;
+  }
+  ScreenedOutputs Take(ScreeningStats stats) const {
+    std::ostringstream metrics;
+    WriteMetricsJson(metrics, registry_.Snapshot(), /*include_timers=*/false);
+    std::ostringstream series;
+    WriteSeriesJson(series, series_.Snapshot(), /*include_host=*/false);
+    return {std::move(stats), metrics.str(), series.str()};
+  }
+
+ private:
+  MetricsRegistry registry_;
+  SeriesRecorder series_;
+};
+
+TEST_F(StreamEquivalenceTest, RunRunBatchAndStreamAgreeAtShardEdges) {
+  ScreeningPipeline pipeline(suite_);
+  ScreeningConfig second;
+  second.seed = 78;
+  second.regular_period_months = 1.0;
+  for (const uint64_t processors : {0, 1, 4095, 4097, 8191, 8193, 12289}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(processors) + " processors, " +
+                   std::to_string(threads) + " threads");
+      PopulationConfig population = MakePopulationConfig(processors, threads, nullptr);
+      for (double& rate : population.detected_rate) {
+        rate *= 100.0;
+      }
+      const ScreeningConfig first = MakeScreeningConfig(threads, nullptr, false);
+
+      const FleetPopulation fleet = FleetPopulation::Generate(population);
+      ScreenSinks run_sinks;
+      const ScreenedOutputs run =
+          run_sinks.Take(pipeline.Run(fleet, run_sinks.Attach(first)));
+
+      // K = 2 in both modes; scenario 0 is `first`, so it carries the series sink.
+      std::vector<ScreenSinks> batch_sinks(2);
+      std::vector<ScreenSinks> stream_sinks(2);
+      ScenarioBatch batch;
+      batch.threads = threads;
+      ScenarioBatch stream_batch;
+      for (size_t k = 0; k < 2; ++k) {
+        batch.scenarios.push_back(batch_sinks[k].Attach(k == 0 ? first : second));
+        stream_batch.scenarios.push_back(stream_sinks[k].Attach(k == 0 ? first : second));
+      }
+      std::vector<ScreeningStats> batched = pipeline.RunBatch(fleet, batch);
+      FleetShardStream stream(population);
+      StreamingScreen screen(&pipeline, stream_batch);
+      stream.Drive({&screen});
+      std::vector<ScreeningStats> streamed = screen.TakeBatchStats();
+      ASSERT_EQ(batched.size(), 2u);
+      ASSERT_EQ(streamed.size(), 2u);
+
+      EXPECT_EQ(run.stats.tested, processors);
+      for (size_t k = 0; k < 2; ++k) {
+        SCOPED_TRACE("scenario " + std::to_string(k));
+        const ScreenedOutputs from_batch = batch_sinks[k].Take(std::move(batched[k]));
+        const ScreenedOutputs from_stream = stream_sinks[k].Take(std::move(streamed[k]));
+        ExpectIdenticalStats(from_stream.stats, from_batch.stats);
+        EXPECT_EQ(from_stream.metrics, from_batch.metrics);
+        EXPECT_EQ(from_stream.series, from_batch.series);
+        if (k == 0) {
+          ExpectIdenticalStats(from_batch.stats, run.stats);
+          EXPECT_EQ(from_batch.metrics, run.metrics);
+          EXPECT_EQ(from_batch.series, run.series);
+        }
+      }
+      if (processors >= 4097) {
+        EXPECT_GT(run.stats.total_detected(), 0u);
+        EXPECT_NE(run.series.find("screening.detected"), std::string::npos);
+      }
+    }
+  }
+}
+
 // ----- batched streaming (StreamingScreen over a ScenarioBatch) ---------------------
 //
 // One fused generate->screen pass evaluating K scenarios must hand every scenario the
@@ -446,9 +543,9 @@ TEST_F(StreamBatchTest, BatchedScenariosNotVacuouslyEqual) {
 
 // ----- fold cost: one allocation per merged vector ----------------------------------
 //
-// All three shard-order folds (materialized Run, materialized RunBatch, streaming
-// EndStream) sum the shards' detection counts and presize the merged detections and
-// provenance once; ScreeningStats::MergeFrom only appends. A fold that reserved
+// The one shard-order fold (StreamingScreen::EndStream, which materialized Run and
+// RunBatch ride too) sums the shards' detection counts and presizes the merged detections
+// and provenance once; ScreeningStats::MergeFrom only appends. A fold that reserved
 // size() + other.size() per shard instead reallocates and moves the whole accumulator for
 // every shard that detected anything: thousands of large allocations over 4096 shards.
 
@@ -488,7 +585,8 @@ TEST_F(StreamBatchTest, ShardFoldsAllocateEachMergedVectorOnce) {
   const ScreeningConfig single = MakeScreeningConfig(kThreads, nullptr, false);
   const ScenarioBatch batch = MakeBatch(kScenarios, kThreads);
 
-  // Materialized Run: the merged detections and provenance, plus the shard-result table.
+  // Materialized Run: the merged detections and provenance, plus StreamingScreen's one
+  // per-shard slot table (each slot holds the shard's stats, deltas and traces).
   ScreeningStats materialized;
   {
     LargeAllocationProbe probe;
@@ -497,9 +595,8 @@ TEST_F(StreamBatchTest, ShardFoldsAllocateEachMergedVectorOnce) {
   }
   ExpectPresizedFold(materialized);
 
-  // Streaming single scenario: the merged vectors, plus StreamingScreen's three per-shard
-  // slot tables (stats, deltas, traces). Still element-for-element equal to the
-  // materialized (serial-order) fold.
+  // Streaming single scenario: the same fold, plus headroom for the stream's own per-shard
+  // tables. Still element-for-element equal to the materialized (serial-order) fold.
   {
     FleetShardStream stream(population);
     StreamingScreen screen(&pipeline, single);
@@ -511,7 +608,7 @@ TEST_F(StreamBatchTest, ShardFoldsAllocateEachMergedVectorOnce) {
     ExpectIdenticalStats(streamed, materialized);
   }
 
-  // K = 3: two merged vectors per scenario, plus the same tables as the K = 1 passes.
+  // K = 3: two merged vectors per scenario, plus the same slot table as the K = 1 passes.
   std::vector<ScreeningStats> batched;
   {
     LargeAllocationProbe probe;

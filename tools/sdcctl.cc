@@ -82,6 +82,7 @@
 #include <vector>
 
 #include "src/analysis/repro.h"
+#include "src/common/context.h"
 #include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/daemon/client.h"
@@ -119,6 +120,9 @@ struct GlobalOptions {
   bool seed_set = false;
   std::string sweep_spec;    // --sweep operand; empty = single-scenario commands
   std::string socket_path;   // --socket operand; non-empty = sdcd client mode
+  // The one engine context of a local run, built by Main from --threads (SDC_THREADS and
+  // SDC_SIMD are read there, once); every fleet command generates and screens on it.
+  EngineContext* context = nullptr;
 };
 
 // Applies the global fleet overrides to a population config. The --processors / --seed
@@ -131,7 +135,6 @@ void ApplyFleetOverrides(PopulationConfig& config, const GlobalOptions& options)
   if (options.seed_set) {
     config.seed = options.seed;
   }
-  config.threads = options.threads;
   config.metrics = options.metrics;
   config.trace = options.trace;
   config.series = options.series;
@@ -142,15 +145,17 @@ void ApplyFleetOverrides(PopulationConfig& config, const GlobalOptions& options)
 // materialized path (docs/streaming.md), so every table below is mode-independent.
 ScreeningStats GenerateAndScreen(const PopulationConfig& population_config,
                                  const ScreeningPipeline& pipeline,
-                                 const ScreeningConfig& screening_config, bool stream) {
-  if (stream) {
+                                 const ScreeningConfig& screening_config,
+                                 const GlobalOptions& options) {
+  EngineContext& context = *options.context;
+  if (options.stream) {
     FleetShardStream shard_stream(population_config);
     StreamingScreen screen(&pipeline, screening_config);
-    shard_stream.Drive({&screen});
+    shard_stream.Drive({&screen}, context);
     return screen.TakeStats();
   }
-  const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-  return pipeline.Run(fleet, screening_config);
+  const FleetPopulation fleet = FleetPopulation::Generate(population_config, context);
+  return pipeline.Run(fleet, screening_config, context);
 }
 
 // Usage error helper: strict-parsing failures report what was wrong and exit 2, the same
@@ -241,7 +246,6 @@ int CmdScreenSweep(uint64_t processor_count, std::vector<SweepScenario> scenario
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
   ScenarioBatch batch;
-  batch.threads = options.threads;
   batch.scenarios.reserve(scenarios.size());
   for (SweepScenario& scenario : scenarios) {
     scenario.config.metrics = options.metrics;
@@ -255,11 +259,12 @@ int CmdScreenSweep(uint64_t processor_count, std::vector<SweepScenario> scenario
   if (options.stream) {
     FleetShardStream shard_stream(population_config);
     StreamingScreen screen(&pipeline, batch);
-    shard_stream.Drive({&screen});
+    shard_stream.Drive({&screen}, *options.context);
     stats = screen.TakeBatchStats();
   } else {
-    const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-    stats = pipeline.RunBatch(fleet, batch);
+    const FleetPopulation fleet =
+        FleetPopulation::Generate(population_config, *options.context);
+    stats = pipeline.RunBatch(fleet, batch, *options.context);
   }
   TextTable table({"scenario", "seed", "period(m)", "factory", "datacenter", "re-install",
                    "regular", "total", "rate"});
@@ -285,12 +290,11 @@ int CmdScreen(uint64_t processor_count, const GlobalOptions& options) {
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
   ScreeningConfig screening_config;
-  screening_config.threads = options.threads;
   screening_config.metrics = options.metrics;
   screening_config.trace = options.trace;
   screening_config.series = options.series;
   const ScreeningStats stats =
-      GenerateAndScreen(population_config, pipeline, screening_config, options.stream);
+      GenerateAndScreen(population_config, pipeline, screening_config, options);
   TextTable table({"stage", "detections", "rate"});
   for (int stage = 0; stage < kStageCount; ++stage) {
     table.AddRow({StageName(static_cast<TestStage>(stage)),
@@ -313,11 +317,10 @@ int CmdMetrics(uint64_t processor_count, const GlobalOptions& options) {
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
   ScreeningConfig screening_config;
-  screening_config.threads = options.threads;
   screening_config.metrics = options.metrics;
   screening_config.trace = options.trace;
   screening_config.series = options.series;
-  (void)GenerateAndScreen(population_config, pipeline, screening_config, options.stream);
+  (void)GenerateAndScreen(population_config, pipeline, screening_config, options);
   return 0;
 }
 
@@ -331,12 +334,11 @@ int CmdTrace(uint64_t processor_count, const GlobalOptions& options) {
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
   ScreeningConfig screening_config;
-  screening_config.threads = options.threads;
   screening_config.metrics = options.metrics;
   screening_config.trace = options.trace;
   screening_config.series = options.series;
   const ScreeningStats stats =
-      GenerateAndScreen(population_config, pipeline, screening_config, options.stream);
+      GenerateAndScreen(population_config, pipeline, screening_config, options);
   SummarizeTrace(options.trace->Snapshot()).DumpText(std::cout);
   std::cout << stats.provenance.size() << " detections, each with a provenance record\n";
   return 0;
@@ -463,12 +465,11 @@ int CmdScrub(int argc, char** argv, const GlobalOptions& options) {
   if (options.seed_set) {
     config.population.seed = options.seed;
   }
-  config.threads = options.threads;
   config.metrics = options.metrics;
   config.trace = options.trace;
   config.series = options.series;
   const TestSuite suite = TestSuite::BuildFull();
-  WriteScrubReportJson(std::cout, FleetScrubber(&suite).Run(config));
+  WriteScrubReportJson(std::cout, FleetScrubber(&suite).Run(config, *options.context));
   std::cout << "\n";
   return 0;
 }
@@ -485,12 +486,11 @@ int CmdExport(const std::string& what, const GlobalOptions& options) {
     const TestSuite suite = TestSuite::BuildFull();
     ScreeningPipeline pipeline(&suite);
     ScreeningConfig screening_config;
-    screening_config.threads = options.threads;
     screening_config.metrics = options.metrics;
     screening_config.trace = options.trace;
     WriteScreeningStatsJson(
         std::cout,
-        GenerateAndScreen(population_config, pipeline, screening_config, options.stream));
+        GenerateAndScreen(population_config, pipeline, screening_config, options));
     return 0;
   }
   if (what.rfind("sweep:", 0) == 0) {
@@ -1050,6 +1050,8 @@ int Main(int argc, char** argv) {
       options.prom_out == "-" || options.series_out == "-") {
     saved_cout = std::cout.rdbuf(std::cerr.rdbuf());
   }
+  EngineContext context(EngineOptions{.threads = options.threads});
+  options.context = &context;
   const int status = Dispatch(argc, argv, options);
   if (saved_cout != nullptr) {
     std::cout.rdbuf(saved_cout);
