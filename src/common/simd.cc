@@ -143,19 +143,47 @@ size_t ClassifyRangeScalar(const uint64_t* draws, size_t begin, size_t end,
   return faulty;
 }
 
+#if (SDC_SIMD_X86 || SDC_SIMD_NEON) && !defined(SDC_FORCE_SCALAR)
+
+// The exact fault rule for the quick reject's candidate lanes of one vector: bit l of
+// `lanes` marks pair first + l (its class already in class_out), and the result keeps the
+// lanes whose fault draw is below their own class's threshold -- ClassifyRangeScalar's
+// test, lane by lane.
+unsigned FaultyLanes(const uint64_t* draws, size_t first, unsigned lanes,
+                     const DrawClassifyTables& tables, const uint8_t* class_out) {
+  unsigned faulty = 0;
+  for (; lanes != 0; lanes &= lanes - 1) {
+    const auto lane = static_cast<unsigned>(__builtin_ctz(lanes));
+    const size_t i = first + lane;
+    if ((draws[2 * i + 1] >> 11) < tables.fault_thresholds_u53[class_out[i]]) {
+      faulty |= 1u << lane;
+    }
+  }
+  return faulty;
+}
+
+#endif  // (SDC_SIMD_X86 || SDC_SIMD_NEON) && !SDC_FORCE_SCALAR
+
 #if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
 
-// Four pairs per iteration: deinterleave the (arch, fault) draw columns, shift both to
-// u53 space, then one compare per CDF boundary both accumulates the class and selects
-// that class's fault threshold (blend), so the gather the per-class threshold lookup
-// would need never materializes. All values are < 2^54 with the sign bit clear, so the
-// signed cmpgt is an unsigned compare here; ">= bound" is "cmpgt(bound - 1)", exact even
-// for bound == 0 (a >= 0 always holds, and 0 - 1 wraps to -1, which cmpgt also always
-// exceeds).
+// Four pairs per iteration: deinterleave the (arch, fault) draw columns and shift both to
+// u53 space; one compare and one subtract per CDF boundary accumulate the class. All
+// values are < 2^54 with the sign bit clear, so the signed cmpgt is an unsigned compare
+// here; ">= bound" is "cmpgt(bound - 1)", exact even for bound == 0 (a >= 0 always holds,
+// and 0 - 1 wraps to -1, which cmpgt also always exceeds). The fault test is a single
+// compare against fault_threshold_max_u53: in a fleet that is almost all clean, nearly
+// every vector has no lane below it, so the per-class threshold is looked up only for
+// the rare candidate lanes (FaultyLanes).
 __attribute__((target("avx2"))) size_t ClassifyDrawPairsAvx2(
     const uint64_t* draws, size_t count, const DrawClassifyTables& tables,
     uint8_t* class_out, uint64_t* faulty_bits) {
   const int bounds = tables.class_count - 1;
+  __m256i bound_m1[kMaxClassifyClasses - 1];
+  for (int j = 0; j < bounds; ++j) {
+    bound_m1[j] = _mm256_set1_epi64x(static_cast<long long>(tables.cdf_bounds_u53[j] - 1));
+  }
+  const __m256i max_threshold =
+      _mm256_set1_epi64x(static_cast<long long>(tables.fault_threshold_max_u53));
   const __m128i pick_lane_bytes = _mm_setr_epi8(0, 8, -1, -1, -1, -1, -1, -1,
                                                 -1, -1, -1, -1, -1, -1, -1, -1);
   size_t faulty = 0;
@@ -172,16 +200,8 @@ __attribute__((target("avx2"))) size_t ClassifyDrawPairsAvx2(
     const __m256i f = _mm256_srli_epi64(
         _mm256_permute4x64_epi64(hi, _MM_SHUFFLE(3, 1, 2, 0)), 11);
     __m256i cls = _mm256_setzero_si256();
-    __m256i th = _mm256_set1_epi64x(
-        static_cast<long long>(tables.fault_thresholds_u53[0]));
     for (int j = 0; j < bounds; ++j) {
-      const __m256i bound_m1 = _mm256_set1_epi64x(
-          static_cast<long long>(tables.cdf_bounds_u53[j] - 1));
-      const __m256i ge = _mm256_cmpgt_epi64(a, bound_m1);
-      cls = _mm256_sub_epi64(cls, ge);
-      const __m256i next_th = _mm256_set1_epi64x(
-          static_cast<long long>(tables.fault_thresholds_u53[j + 1]));
-      th = _mm256_blendv_epi8(th, next_th, ge);
+      cls = _mm256_sub_epi64(cls, _mm256_cmpgt_epi64(a, bound_m1[j]));
     }
     const __m128i cls_lo = _mm_shuffle_epi8(_mm256_castsi256_si128(cls),
                                             pick_lane_bytes);
@@ -191,12 +211,14 @@ __attribute__((target("avx2"))) size_t ClassifyDrawPairsAvx2(
         (static_cast<uint32_t>(_mm_cvtsi128_si32(cls_lo)) & 0xffffu) |
         (static_cast<uint32_t>(_mm_cvtsi128_si32(cls_hi)) << 16);
     std::memcpy(class_out + i, &four_bytes, 4);
-    const __m256i fault_mask = _mm256_cmpgt_epi64(th, f);
-    const unsigned mask4 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(fault_mask)));
-    // i is a multiple of 4, so the 4 bits never straddle a 64-bit word.
-    faulty_bits[i >> 6] |= static_cast<uint64_t>(mask4) << (i & 63);
-    faulty += static_cast<size_t>(__builtin_popcount(mask4));
+    const unsigned candidates = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(max_threshold, f))));
+    if (candidates != 0) {
+      const unsigned mask4 = FaultyLanes(draws, i, candidates, tables, class_out);
+      // i is a multiple of 4, so the 4 bits never straddle a 64-bit word.
+      faulty_bits[i >> 6] |= static_cast<uint64_t>(mask4) << (i & 63);
+      faulty += static_cast<size_t>(__builtin_popcount(mask4));
+    }
   }
   return faulty + ClassifyRangeScalar(draws, i, count, tables, class_out, faulty_bits);
 }
@@ -209,6 +231,7 @@ size_t ClassifyDrawPairsNeon(const uint64_t* draws, size_t count,
                              const DrawClassifyTables& tables, uint8_t* class_out,
                              uint64_t* faulty_bits) {
   const int bounds = tables.class_count - 1;
+  const uint64x2_t max_threshold = vdupq_n_u64(tables.fault_threshold_max_u53);
   size_t faulty = 0;
   size_t i = 0;
   for (; i + 2 <= count; i += 2) {
@@ -216,20 +239,21 @@ size_t ClassifyDrawPairsNeon(const uint64_t* draws, size_t count,
     const uint64x2_t a = vshrq_n_u64(pair.val[0], 11);
     const uint64x2_t f = vshrq_n_u64(pair.val[1], 11);
     uint64x2_t cls = vdupq_n_u64(0);
-    uint64x2_t th = vdupq_n_u64(tables.fault_thresholds_u53[0]);
     for (int j = 0; j < bounds; ++j) {
-      const uint64x2_t ge = vcgeq_u64(a, vdupq_n_u64(tables.cdf_bounds_u53[j]));
-      cls = vsubq_u64(cls, ge);
-      th = vbslq_u64(ge, vdupq_n_u64(tables.fault_thresholds_u53[j + 1]), th);
+      cls = vsubq_u64(cls, vcgeq_u64(a, vdupq_n_u64(tables.cdf_bounds_u53[j])));
     }
     class_out[i] = static_cast<uint8_t>(vgetq_lane_u64(cls, 0));
     class_out[i + 1] = static_cast<uint8_t>(vgetq_lane_u64(cls, 1));
-    const uint64x2_t fault_mask = vcltq_u64(f, th);
-    const uint64_t bit0 = vgetq_lane_u64(fault_mask, 0) & 1;
-    const uint64_t bit1 = vgetq_lane_u64(fault_mask, 1) & 1;
-    // i is even, so the two bits never straddle a 64-bit word.
-    faulty_bits[i >> 6] |= (bit0 | (bit1 << 1)) << (i & 63);
-    faulty += static_cast<size_t>(bit0 + bit1);
+    const uint64x2_t candidate = vcltq_u64(f, max_threshold);
+    const auto candidates =
+        static_cast<unsigned>((vgetq_lane_u64(candidate, 0) & 1) |
+                              ((vgetq_lane_u64(candidate, 1) & 1) << 1));
+    if (candidates != 0) {
+      const unsigned mask2 = FaultyLanes(draws, i, candidates, tables, class_out);
+      // i is even, so the two bits never straddle a 64-bit word.
+      faulty_bits[i >> 6] |= static_cast<uint64_t>(mask2) << (i & 63);
+      faulty += static_cast<size_t>(__builtin_popcount(mask2));
+    }
   }
   return faulty + ClassifyRangeScalar(draws, i, count, tables, class_out, faulty_bits);
 }

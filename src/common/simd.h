@@ -74,12 +74,19 @@ struct DrawClassifyTables {
   uint64_t cdf_bounds_u53[kMaxClassifyClasses - 1];
   // fault_thresholds_u53[c] = faulty iff the second draw's u53 < this; class_count used.
   uint64_t fault_thresholds_u53[kMaxClassifyClasses];
+  // An upper bound on the used fault thresholds (their max, as GenerationPlan fills it):
+  // the vector kernels' quick reject. A draw pair with f >= this is clean whatever its
+  // class, so only the rare lanes below it look up their own class's threshold. The
+  // default, kClassifyNever, is a valid bound that rejects nothing.
+  uint64_t fault_threshold_max_u53 = kClassifyNever;
 };
 
 // Classifies `count` interleaved draw pairs: for each i, with a = draws[2i] >> 11 and
 // f = draws[2i + 1] >> 11,
 //   class_out[i]  = number of cdf_bounds_u53 entries <= a  (the branchless CDF walk);
 //   bit i of faulty_bits = (f < fault_thresholds_u53[class_out[i]]).
+// fault_threshold_max_u53 only decides which lanes the vector paths check exactly; it
+// never changes the output while it bounds the used thresholds.
 // faulty_bits must hold (count + 63) / 64 words; the kernel zeroes them first. Returns
 // the number of set faulty bits. All u53 values and table entries are < 2^54, which is
 // what lets the vector paths use signed 64-bit compares. Like CountBytesByValue, every

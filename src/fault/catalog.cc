@@ -98,7 +98,6 @@ Defect MakeComputationDefect(Rng& rng, const ComputationDefectParams& params,
   if (params.core_scale_decades > 0.0 && params.pcores.empty()) {
     defect.pcore_rate_scale = LogSpreadScales(rng, pcore_count, params.core_scale_decades);
   }
-  defect.SealPatternCdfs();
   return defect;
 }
 

@@ -17,10 +17,63 @@ constexpr double kMaxStressFactor = 50.0;
 // temperature law must not extrapolate to corrupting every executed instruction.
 constexpr double kMaxFrequencyPerMinute = 2000.0;
 
+// The core-independent factors of Defect::RatePerOp at one (temperature, op intensity):
+// both pow calls of the rate law. RateAt(scale) finishes the law for one core's
+// PcoreScale with RatePerOp's exact expression, so it is bitwise equal to it.
+struct RateTerms {
+  bool active = false;    // temperature at or above the trigger
+  double unscaled = 0.0;  // pow(10, log10_rate) * stress
+  double cap = 0.0;       // frequency ceiling as a per-op rate
+
+  double RateAt(double scale) const {
+    if (!active || scale <= 0.0) {
+      return 0.0;
+    }
+    return std::min({1.0, cap, unscaled * scale});
+  }
+};
+
+RateTerms RateTermsAt(const Defect& defect, double temperature, double op_intensity) {
+  RateTerms terms;
+  if (temperature < defect.min_trigger_celsius) {
+    return terms;
+  }
+  const double log10_rate = defect.base_log10_rate +
+                            defect.temp_slope * (temperature - defect.min_trigger_celsius);
+  double stress = 1.0;
+  if (op_intensity > 0.0 && defect.intensity_ref > 0.0) {
+    stress = std::pow(op_intensity / defect.intensity_ref, defect.intensity_exponent);
+    stress = std::clamp(stress, kMinStressFactor, kMaxStressFactor);
+  }
+  terms.active = true;
+  terms.unscaled = std::pow(10.0, log10_rate) * stress;
+  terms.cap = kMaxFrequencyPerMinute / (60.0 * defect.intensity_ref);
+  return terms;
+}
+
 }  // namespace
 
 std::string SdcTypeName(SdcType type) {
   return type == SdcType::kComputation ? "computation" : "consistency";
+}
+
+MatchMasks MasksOf(std::span<const OpKind> ops, std::span<const DataType> types) {
+  MatchMasks masks;
+  for (OpKind op : ops) {
+    masks.ops |= uint64_t{1} << static_cast<int>(op);
+  }
+  for (DataType type : types) {
+    masks.types |= uint32_t{1} << static_cast<int>(type);
+  }
+  return masks;
+}
+
+MatchMasks Defect::match_masks() const {
+  MatchMasks masks = MasksOf(affected_ops, affected_types);
+  if (affected_types.empty()) {
+    masks.types = ~uint32_t{0};
+  }
+  return masks;
 }
 
 bool Defect::AffectsOp(OpKind op) const {
@@ -53,22 +106,24 @@ double Defect::PcoreScale(int pcore) const {
 double Defect::RatePerOp(double temperature, double op_intensity, int pcore) const {
   const double scale = PcoreScale(pcore);
   if (scale <= 0.0 || temperature < min_trigger_celsius) {
-    return 0.0;
+    return 0.0;  // before the pow calls: the injector asks this of every op on every core
   }
-  const double log10_rate =
-      base_log10_rate + temp_slope * (temperature - min_trigger_celsius);
-  double stress = 1.0;
-  if (op_intensity > 0.0 && intensity_ref > 0.0) {
-    stress = std::pow(op_intensity / intensity_ref, intensity_exponent);
-    stress = std::clamp(stress, kMinStressFactor, kMaxStressFactor);
-  }
-  const double rate_cap = kMaxFrequencyPerMinute / (60.0 * intensity_ref);
-  return std::min({1.0, rate_cap, std::pow(10.0, log10_rate) * stress * scale});
+  return RateTermsAt(*this, temperature, op_intensity).RateAt(scale);
 }
 
 double Defect::OccurrenceFrequencyPerMinute(double temperature, double ops_per_second,
                                             int pcore) const {
   return RatePerOp(temperature, ops_per_second, pcore) * ops_per_second * 60.0;
+}
+
+double Defect::ExpectedErrorsOverCores(double temperature, double ops_per_second,
+                                       int pcores, double minutes_per_core) const {
+  const RateTerms terms = RateTermsAt(*this, temperature, ops_per_second);
+  double expected = 0.0;
+  for (int pcore = 0; pcore < pcores; ++pcore) {
+    expected += terms.RateAt(PcoreScale(pcore)) * ops_per_second * 60.0 * minutes_per_core;
+  }
+  return expected;
 }
 
 int SampleFlipPosition(DataType type, Rng& rng) {

@@ -20,6 +20,8 @@
 #ifndef SDC_SRC_FAULT_DEFECT_H_
 #define SDC_SRC_FAULT_DEFECT_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,26 @@ struct PatternSet {
   // the live weights. Both picks are draw-for-draw identical (see WeightedCdf).
   WeightedCdf weight_cdf;
 };
+
+// Op kinds and datatypes as bitmasks (bit i = enum value i): the O(1) matching form shared
+// by the screening suite index, the testcase-effectiveness scans and DefectInjector.
+struct MatchMasks {
+  uint64_t ops = 0;
+  uint32_t types = 0;
+};
+
+// Plain unions of the listed kinds: a testcase that checks no datatype has types == 0.
+MatchMasks MasksOf(std::span<const OpKind> ops, std::span<const DataType> types);
+
+// Whether a testcase with masks `testcase` can expose a defect of SdcType `type` with
+// masks `defect` (Defect::match_masks): some exercised op is affected and, for a
+// computation defect, some checked datatype is. A computation defect with empty
+// affected_types (all-ones types) thus matches every testcase that checks at least one
+// datatype, and never one that checks none; a consistency defect ignores datatypes.
+inline bool CanExpose(const MatchMasks& testcase, const MatchMasks& defect, SdcType type) {
+  return (testcase.ops & defect.ops) != 0 &&
+         (type == SdcType::kConsistency || (testcase.types & defect.types) != 0);
+}
 
 // How flips combine with the data (XOR = true flip; stuck-at produces direction bias).
 enum class FlipSemantics {
@@ -99,6 +121,9 @@ struct Defect {
 
   bool AffectsOp(OpKind op) const;
   bool AffectsType(DataType type) const;
+  // affected_ops / affected_types as masks, an empty affected_types meaning every datatype
+  // (all ones). O(affected kinds): callers on a hot path compute it once per defect.
+  MatchMasks match_masks() const;
   // Rate multiplier for `pcore`; 0 when the core is not affected.
   double PcoreScale(int pcore) const;
 
@@ -111,13 +136,24 @@ struct Defect {
   double OccurrenceFrequencyPerMinute(double temperature, double ops_per_second,
                                       int pcore) const;
 
+  // The expected-error count of one test pass spread over `pcores` cores: the sum over
+  // pcore in [0, pcores) of
+  //   OccurrenceFrequencyPerMinute(temperature, ops_per_second, pcore) * minutes_per_core
+  // in core order, with RatePerOp's two pow calls (which do not depend on the core)
+  // evaluated once. Same expression, same order, and pow is pure: the sum is bitwise
+  // equal to the per-core loop.
+  double ExpectedErrorsOverCores(double temperature, double ops_per_second, int pcores,
+                                 double minutes_per_core) const;
+
   // Applies the damage model to `golden`, returning corrupted bits (always != golden for a
   // non-degenerate mask; if the draw produces no change the lowest eligible bit is flipped).
   Word128 Corrupt(const Word128& golden, DataType type, Rng& rng) const;
 
   // Precomputes each pattern set's weight CDF so Corrupt's weighted pick is O(patterns)
-  // once instead of per corruption. Call after pattern_sets/weights stop changing (the
-  // catalog builders do); safe to re-call. Draw sequences are unchanged either way.
+  // once instead of per corruption. Call after pattern_sets/weights stop changing, on a
+  // defect that will corrupt many times (DefectInjector seals its own copies); safe to
+  // re-call. Draw sequences are unchanged either way. Fleet generation leaves defects
+  // unsealed: screening never corrupts, so the CDFs would be built and never read.
   void SealPatternCdfs();
 };
 

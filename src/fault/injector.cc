@@ -8,25 +8,15 @@ DefectInjector::DefectInjector(std::vector<Defect> defects, uint64_t seed)
     : defects_(std::move(defects)), activations_(defects_.size(), 0), rng_(seed) {
   op_masks_.reserve(defects_.size());
   type_masks_.reserve(defects_.size());
-  for (const Defect& defect : defects_) {
-    uint64_t op_mask = 0;
-    for (OpKind op : defect.affected_ops) {
-      op_mask |= uint64_t{1} << static_cast<int>(op);
-    }
-    uint32_t type_mask = 0;
-    if (defect.affected_types.empty()) {
-      type_mask = ~uint32_t{0};
-    } else {
-      for (DataType type : defect.affected_types) {
-        type_mask |= uint32_t{1} << static_cast<int>(type);
-      }
-    }
-    op_masks_.push_back(op_mask);
-    type_masks_.push_back(type_mask);
+  for (Defect& defect : defects_) {
+    defect.SealPatternCdfs();  // the injector's copies are the ones Corrupt runs on
+    const MatchMasks masks = defect.match_masks();
+    op_masks_.push_back(masks.ops);
+    type_masks_.push_back(masks.types);
     if (defect.type() == SdcType::kComputation) {
-      computation_op_union_ |= op_mask;
+      computation_op_union_ |= masks.ops;
     } else {
-      consistency_op_union_ |= op_mask;
+      consistency_op_union_ |= masks.ops;
     }
   }
 }

@@ -19,6 +19,8 @@ namespace sdc {
 
 class DefectInjector : public CorruptionHook {
  public:
+  // Takes its own copies of `defects` and seals their pattern CDFs
+  // (Defect::SealPatternCdfs): the injector is where Corrupt runs, per activation.
   DefectInjector(std::vector<Defect> defects, uint64_t seed);
 
   // Fleet age of the processor; defects whose onset lies in the future stay dormant.
@@ -43,8 +45,9 @@ class DefectInjector : public CorruptionHook {
   int FindActivation(const OpContext& context, SdcType want_type);
 
   std::vector<Defect> defects_;
-  // Precomputed per-defect bitmasks over OpKind / DataType for O(1) matching on the hot
-  // path, plus union masks for early rejection of ops no defect touches.
+  // Precomputed per-defect bitmasks over OpKind / DataType (Defect::match_masks) for O(1)
+  // matching on the hot path, plus union masks for early rejection of ops no defect
+  // touches.
   std::vector<uint64_t> op_masks_;
   std::vector<uint32_t> type_masks_;
   uint64_t computation_op_union_ = 0;

@@ -100,35 +100,41 @@ double RegularRoundMonth(uint64_t serial, int cycle, const ScreeningConfig& conf
   return static_cast<double>(cycle) * config.regular_period_months + offset;
 }
 
-ScreeningPipeline::ScreeningPipeline(const TestSuite* suite) : suite_(suite) {}
-
-int ScreeningPipeline::MatchingTestcases(const Defect& defect) const {
-  int matches = 0;
-  for (size_t i = 0; i < suite_->size(); ++i) {
-    const TestcaseInfo& info = suite_->info(i);
-    bool op_match = false;
-    for (OpKind op : info.ops) {
-      if (defect.AffectsOp(op)) {
-        op_match = true;
+ScreeningPipeline::ScreeningPipeline(const TestSuite* suite) {
+  // Distinct (ops, types) signatures with their testcase counts, deduplicated in one pass
+  // through an open-addressed table of signature indices at most half full.
+  size_t slots = 16;
+  while (slots < 2 * suite->size()) {
+    slots *= 2;
+  }
+  std::vector<int> table(slots, -1);
+  for (size_t i = 0; i < suite->size(); ++i) {
+    const TestcaseInfo& info = suite->info(i);
+    const MatchMasks masks = MasksOf(info.ops, info.types);
+    size_t slot = Mix64(masks.ops ^ Mix64(masks.types)) & (slots - 1);
+    while (table[slot] >= 0) {
+      const SuiteSignature& seen = signatures_[static_cast<size_t>(table[slot])];
+      if (seen.masks.ops == masks.ops && seen.masks.types == masks.types) {
         break;
       }
+      slot = (slot + 1) & (slots - 1);
     }
-    if (!op_match) {
-      continue;
+    if (table[slot] < 0) {
+      table[slot] = static_cast<int>(signatures_.size());
+      signatures_.push_back({masks, 0});
     }
-    if (defect.type() == SdcType::kComputation) {
-      bool type_match = false;
-      for (DataType type : info.types) {
-        if (defect.AffectsType(type)) {
-          type_match = true;
-          break;
-        }
-      }
-      if (!type_match) {
-        continue;
-      }
+    ++signatures_[static_cast<size_t>(table[slot])].testcases;
+  }
+}
+
+int ScreeningPipeline::MatchingTestcases(const Defect& defect) const {
+  const MatchMasks masks = defect.match_masks();
+  const SdcType type = defect.type();
+  int matches = 0;
+  for (const SuiteSignature& signature : signatures_) {
+    if (CanExpose(signature.masks, masks, type)) {
+      matches += signature.testcases;
     }
-    ++matches;
   }
   return matches;
 }
@@ -152,13 +158,8 @@ double ExpectedErrorsWithMatching(const Defect& defect, const StageParams& stage
   const double minutes_per_core =
       stage.per_case_seconds * static_cast<double>(matching) /
       static_cast<double>(pcores) / 60.0;
-  double expected = 0.0;
-  for (int pcore = 0; pcore < pcores; ++pcore) {
-    expected += defect.OccurrenceFrequencyPerMinute(stage.temperature_celsius,
-                                                    defect.intensity_ref, pcore) *
-                minutes_per_core;
-  }
-  return expected;
+  return defect.ExpectedErrorsOverCores(stage.temperature_celsius, defect.intensity_ref,
+                                        pcores, minutes_per_core);
 }
 
 // The per-(defect, stage) survive factors 1 - catch_factor * (1 - exp(-E)). They are a
@@ -508,25 +509,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   }
 }
 
-namespace {
-
-// One cumulative sample of the screening trajectory, taken at a fleet-grain boundary of
-// the serial axis. StreamingScreen's ordered fold appends one per stream shard in both
-// execution modes, which is what makes the series byte-identical across streaming and
-// materialized runs.
-void AppendScreeningSeriesPoint(SeriesRecorder* series, uint64_t end_serial,
-                                const ScreeningStats& cumulative) {
-  const auto x = static_cast<double>(end_serial);
-  const auto detected = static_cast<double>(cumulative.total_detected());
-  series->Append("screening.tested", SeriesClock::kSim, x,
-                 static_cast<double>(cumulative.tested));
-  series->Append("screening.detected", SeriesClock::kSim, x, detected);
-  series->Append("screening.escapes", SeriesClock::kSim, x,
-                 static_cast<double>(cumulative.faulty) - detected);
-}
-
-}  // namespace
-
 ScreeningStats ScreeningPipeline::Run(const FleetPopulation& fleet,
                                       const ScreeningConfig& config) const {
   EngineContext context(EngineOptions{.threads = config.threads});
@@ -742,6 +724,17 @@ void StreamingScreen::EndStream() {
     }
     ReserveMergedDetections(stats_[k], detection_total);
   }
+  // The screening trajectory: one cumulative sample per stream shard at its end serial
+  // (kFleetShardGrain multiples plus the fleet's end), in both execution modes, which is
+  // what makes the series byte-identical across streaming and materialized runs.
+  std::vector<SeriesPoint> tested;
+  std::vector<SeriesPoint> detected;
+  std::vector<SeriesPoint> escapes;
+  if (pinned_series_ != nullptr) {
+    tested.reserve(slots_.size());
+    detected.reserve(slots_.size());
+    escapes.reserve(slots_.size());
+  }
   for (size_t shard = 0; shard < slots_.size(); ++shard) {
     ShardSlot& slot = slots_[shard];
     for (size_t k = 0; k < k_count; ++k) {
@@ -754,12 +747,18 @@ void StreamingScreen::EndStream() {
       }
     }
     if (pinned_series_ != nullptr) {
-      // One cumulative point per stream shard, at its end serial: kFleetShardGrain
-      // multiples plus the fleet's end, in both execution modes.
-      const uint64_t end_serial =
-          std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_);
-      AppendScreeningSeriesPoint(pinned_series_, end_serial, stats_[0]);
+      const auto x = static_cast<double>(
+          std::min<uint64_t>((shard + 1) * kFleetShardGrain, processors_total_));
+      const auto total = static_cast<double>(stats_[0].total_detected());
+      tested.push_back({x, static_cast<double>(stats_[0].tested)});
+      detected.push_back({x, total});
+      escapes.push_back({x, static_cast<double>(stats_[0].faulty) - total});
     }
+  }
+  if (pinned_series_ != nullptr) {
+    pinned_series_->AppendPoints("screening.tested", SeriesClock::kSim, tested);
+    pinned_series_->AppendPoints("screening.detected", SeriesClock::kSim, detected);
+    pinned_series_->AppendPoints("screening.escapes", SeriesClock::kSim, escapes);
   }
   for (size_t k = 0; k < k_count; ++k) {
     if (pinned_metrics_[k] != nullptr) {

@@ -112,11 +112,12 @@ struct ScreeningConfig {
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
 // The paper-style sweeps (seed, cadence, stage-temperature scans) re-screen the same
 // fleet K times; batching them shares everything scenario-invariant per shard -- the
-// generated columns (streaming mode), the clean-path arch histogram, and the per-defect
-// MatchingTestcases suite scan -- so one pass costs ~one scan plus K cheap probe
-// replays. Scenario k draws from Rng(scenarios[k].seed).Fork(shard), exactly the
-// streams its independent run would use, so every batched ScreeningStats is
-// byte-identical to pipeline.Run(fleet, scenarios[k]) (tests/screening_model_test.cc).
+// generated columns (streaming mode), the clean-path arch histogram, and the per-part
+// model tables (matching counts, sorted onsets, survive terms per group of bit-identical
+// stage parameters) -- so one pass costs ~one generate-and-scan plus K probe replays.
+// Scenario k draws from Rng(scenarios[k].seed).Fork(shard), exactly the streams its
+// independent run would use, so every batched ScreeningStats is byte-identical to
+// pipeline.Run(fleet, scenarios[k]) (tests/screening_model_test.cc).
 struct ScenarioBatch {
   // Scenario configs; seeds, stage parameters, cadence, horizon, and metric/trace sinks
   // may all differ per scenario. Per-scenario `threads` fields are ignored -- the batch
@@ -187,8 +188,8 @@ struct ScreeningStats {
 
 class ScreeningPipeline {
  public:
-  // `suite` provides testcase metadata for matching-minutes computation; it must outlive
-  // the pipeline.
+  // `suite` provides testcase metadata for matching-minutes computation. The constructor
+  // indexes its (ops, types) signatures in one O(suite) pass and keeps no reference.
   explicit ScreeningPipeline(const TestSuite* suite);
 
   // Screens the whole fleet: a batch of one. Per-shard stats are merged in shard order and
@@ -220,7 +221,9 @@ class ScreeningPipeline {
   // a processor with `pcores` physical cores. Exposed for tests and calibration.
   double ExpectedErrors(const Defect& defect, const StageParams& stage, int pcores) const;
 
-  // Number of suite testcases whose op kinds and datatypes can expose `defect`.
+  // Number of suite testcases whose op kinds and datatypes can expose `defect`
+  // (CanExpose, src/fault/defect.h): mask ANDs over the suite's distinct signatures, which
+  // the constructor indexes once, so the cost is O(distinct signatures), not O(suite).
   int MatchingTestcases(const Defect& defect) const;
 
  private:
@@ -259,7 +262,13 @@ class ScreeningPipeline {
                                 const ScreeningConfig& config, Rng& rng,
                                 ScreeningStats& stats) const;
 
-  const TestSuite* suite_;
+  // One distinct (ops, types) mask pair of the suite and how many testcases carry it.
+  struct SuiteSignature {
+    MatchMasks masks;
+    int testcases = 0;
+  };
+
+  std::vector<SuiteSignature> signatures_;  // in first-appearance order
 };
 
 // Observer of per-shard screening outcomes during a fused streaming pass. ObserveShard
@@ -356,8 +365,8 @@ class StreamingScreen : public ShardConsumer {
   std::vector<MetricsRegistry*> pinned_metrics_;
   std::vector<TraceRecorder*> pinned_trace_;
   // Series sink for scenario 0 (the batch contract ScreeningConfig::series documents),
-  // pinned like the other sinks; EndStream appends one cumulative point per stream shard
-  // during its ordered fold.
+  // pinned like the other sinks; EndStream samples one cumulative point per stream shard
+  // during its ordered fold and appends each series once after it.
   SeriesRecorder* pinned_series_ = nullptr;
   uint64_t processors_total_ = 0;  // for the final (partial-shard) sample boundary
   std::vector<ShardSlot> slots_;   // indexed by shard

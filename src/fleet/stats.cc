@@ -1,49 +1,21 @@
 #include "src/fleet/stats.h"
 
-#include <array>
 #include <cmath>
+
+#include "src/common/parallel.h"
 
 namespace sdc {
 namespace {
 
-bool TestcaseMatchesDefect(const TestcaseInfo& info, const Defect& defect) {
-  bool op_match = false;
-  for (OpKind op : info.ops) {
-    if (defect.AffectsOp(op)) {
-      op_match = true;
-      break;
-    }
-  }
-  if (!op_match) {
-    return false;
-  }
-  if (defect.type() == SdcType::kComputation) {
-    for (DataType type : info.types) {
-      if (defect.AffectsType(type)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  return true;
-}
-
-// Whether one run of `info` at the stage settings reaches the half-expected-error
-// detection threshold against `defect`. Shared by the materialized scan and the
-// streaming accumulator so both evaluate the identical floating-point expression.
-bool TestcaseDetectsDefect(const TestcaseInfo& info, const Defect& defect,
-                           const StageParams& stage, int pcores) {
-  if (!TestcaseMatchesDefect(info, defect)) {
-    return false;
-  }
-  double expected = 0.0;
+// Whether one run of a testcase that can expose `defect` reaches the half-expected-error
+// detection threshold at the stage settings. A function of the defect, the stage and the
+// core count only, so the scan evaluates it once per defect and then matches testcases by
+// mask.
+bool DefectReachesThreshold(const Defect& defect, const StageParams& stage, int pcores) {
   const double minutes_per_core =
       stage.per_case_seconds / static_cast<double>(pcores) / 60.0;
-  for (int pcore = 0; pcore < pcores; ++pcore) {
-    expected += defect.OccurrenceFrequencyPerMinute(stage.temperature_celsius,
-                                                    defect.intensity_ref, pcore) *
-                minutes_per_core;
-  }
+  const double expected = defect.ExpectedErrorsOverCores(
+      stage.temperature_celsius, defect.intensity_ref, pcores, minutes_per_core);
   return 1.0 - std::exp(-expected) >= 0.5;
 }
 
@@ -52,46 +24,26 @@ bool TestcaseDetectsDefect(const TestcaseInfo& info, const Defect& defect,
 TestcaseEffectiveness ComputeTestcaseEffectiveness(const TestSuite& suite,
                                                    const FleetPopulation& fleet,
                                                    const StageParams& stage) {
-  TestcaseEffectiveness effectiveness;
-  effectiveness.total_testcases = suite.size();
-  // The faulty slice is tiny and the fleet already indexes it: walk faulty_serials()
-  // directly instead of rescanning the million-part fleet per testcase.
-  const std::vector<uint64_t>& faulty_serials = fleet.faulty_serials();
-  std::array<int, kArchCount> pcores_by_arch;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    pcores_by_arch[static_cast<size_t>(arch)] = MakeArchSpec(arch).physical_cores;
+  // The faulty slice is tiny and the fleet already indexes it: the accumulator walks each
+  // shard view's faulty serials instead of rescanning the million-part fleet.
+  EffectivenessAccumulator accumulator(&suite, stage);
+  const uint64_t shard_count = ThreadPool::ShardCountFor(0, fleet.size(), kFleetShardGrain);
+  accumulator.BeginStream(fleet.config(), shard_count);
+  for (uint64_t shard = 0; shard < shard_count; ++shard) {
+    accumulator.ConsumeShard(fleet.Shard(shard));
   }
-  for (size_t i = 0; i < suite.size(); ++i) {
-    const TestcaseInfo& info = suite.info(i);
-    bool effective = false;
-    for (size_t ordinal = 0; ordinal < faulty_serials.size(); ++ordinal) {
-      const uint64_t serial = faulty_serials[ordinal];
-      if (!fleet.toolchain_detectable(serial)) {
-        continue;
-      }
-      const int pcores =
-          pcores_by_arch[static_cast<size_t>(fleet.arch_index(serial))];
-      for (const Defect& defect : fleet.FaultyDefects(ordinal)) {
-        if (TestcaseDetectsDefect(info, defect, stage, pcores)) {
-          effective = true;
-          break;
-        }
-      }
-      if (effective) {
-        break;
-      }
-    }
-    if (effective) {
-      ++effectiveness.effective_testcases;
-      effectiveness.effective_ids.push_back(info.id);
-    }
-  }
-  return effectiveness;
+  accumulator.EndStream();
+  return accumulator.TakeResult();
 }
 
 EffectivenessAccumulator::EffectivenessAccumulator(const TestSuite* suite,
                                                    const StageParams& stage)
-    : suite_(suite), stage_(stage) {}
+    : suite_(suite), stage_(stage) {
+  testcase_masks_.reserve(suite->size());
+  for (size_t i = 0; i < suite->size(); ++i) {
+    testcase_masks_.push_back(MasksOf(suite->info(i).ops, suite->info(i).types));
+  }
+}
 
 void EffectivenessAccumulator::BeginStream(const PopulationConfig& /*config*/,
                                            uint64_t shard_count) {
@@ -100,32 +52,25 @@ void EffectivenessAccumulator::BeginStream(const PopulationConfig& /*config*/,
 }
 
 void EffectivenessAccumulator::ConsumeShard(const FleetShard& shard) {
-  std::array<int, kArchCount> pcores_by_arch;
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    pcores_by_arch[static_cast<size_t>(arch)] = MakeArchSpec(arch).physical_cores;
-  }
-  std::vector<uint8_t>* effective = nullptr;  // allocated on the first detectable part
+  std::vector<uint8_t>* effective = nullptr;  // allocated on the first detecting defect
   for (size_t ordinal = 0; ordinal < shard.faulty_serials.size(); ++ordinal) {
     const uint64_t serial = shard.faulty_serials[ordinal];
     if (!shard.toolchain_detectable(serial)) {
       continue;
     }
-    if (effective == nullptr) {
-      effective = &shard_effective_[shard.shard];
-      effective->assign(suite_->size(), 0);
-    }
-    const int pcores =
-        pcores_by_arch[static_cast<size_t>(shard.arch_index(serial))];
-    const std::span<const Defect> defects = shard.FaultyDefects(ordinal);
-    for (size_t i = 0; i < suite_->size(); ++i) {
-      if ((*effective)[i] != 0) {
-        continue;  // this shard already proved the testcase effective
+    const int pcores = MakeArchSpec(shard.arch_index(serial)).physical_cores;
+    for (const Defect& defect : shard.FaultyDefects(ordinal)) {
+      if (!DefectReachesThreshold(defect, stage_, pcores)) {
+        continue;
       }
-      const TestcaseInfo& info = suite_->info(i);
-      for (const Defect& defect : defects) {
-        if (TestcaseDetectsDefect(info, defect, stage_, pcores)) {
+      if (effective == nullptr) {
+        effective = &shard_effective_[shard.shard];
+        effective->assign(suite_->size(), 0);
+      }
+      const MatchMasks masks = defect.match_masks();
+      for (size_t i = 0; i < testcase_masks_.size(); ++i) {
+        if (CanExpose(testcase_masks_[i], masks, defect.type())) {
           (*effective)[i] = 1;
-          break;
         }
       }
     }

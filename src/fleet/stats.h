@@ -29,11 +29,12 @@ TestcaseEffectiveness ComputeTestcaseEffectiveness(const TestSuite& suite,
                                                    const FleetPopulation& fleet,
                                                    const StageParams& stage);
 
-// Streaming counterpart of ComputeTestcaseEffectiveness: a ShardConsumer that inspects
-// each shard's defect spans while they are alive and records, per shard, which testcases
-// detect something. "Effective" is an existential property (any part, any defect), so
-// OR-folding the per-shard bitmasks in shard order yields exactly the materialized result
-// -- effective_ids in suite order included (tests/stream_test.cc).
+// Streaming form of ComputeTestcaseEffectiveness (which drives it over a materialized
+// fleet's shard views): a ShardConsumer that inspects each shard's defect spans while
+// they are alive and records, per shard, which testcases detect something. "Effective"
+// is an existential property (any part, any defect), so OR-folding the per-shard
+// bitmasks in shard order yields exactly the materialized result -- effective_ids in
+// suite order included (tests/stream_test.cc).
 class EffectivenessAccumulator : public ShardConsumer {
  public:
   // `suite` must outlive the stream pass.
@@ -49,6 +50,7 @@ class EffectivenessAccumulator : public ShardConsumer {
  private:
   const TestSuite* suite_;
   StageParams stage_;
+  std::vector<MatchMasks> testcase_masks_;  // per suite testcase, in suite order
   // One bitmask (byte per testcase) per shard; empty for shards without detectable
   // faulty parts.
   std::vector<std::vector<uint8_t>> shard_effective_;

@@ -10,6 +10,15 @@ SeriesRecorder::SeriesRecorder(size_t capacity)
 
 void SeriesRecorder::Append(std::string_view series, SeriesClock clock, double x,
                             double value) {
+  const SeriesPoint point{x, value};
+  AppendPoints(series, clock, std::span<const SeriesPoint>(&point, 1));
+}
+
+void SeriesRecorder::AppendPoints(std::string_view series, SeriesClock clock,
+                                  std::span<const SeriesPoint> points) {
+  if (points.empty()) {
+    return;  // like zero Append calls: no ring, so no pinned clock
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = rings_.find(series);
   if (it == rings_.end()) {
@@ -19,14 +28,16 @@ void SeriesRecorder::Append(std::string_view series, SeriesClock clock, double x
     it = rings_.emplace(std::string(series), std::move(ring)).first;
   }
   Ring& ring = it->second;
-  ring.total_points++;
-  if (ring.points.size() < capacity_) {
-    ring.points.push_back(SeriesPoint{x, value});
-    return;
+  for (const SeriesPoint& point : points) {
+    ring.total_points++;
+    if (ring.points.size() < capacity_) {
+      ring.points.push_back(point);
+      continue;
+    }
+    // Ring is full: overwrite the oldest slot and advance the window.
+    ring.points[ring.start] = point;
+    ring.start = (ring.start + 1) % capacity_;
   }
-  // Ring is full: overwrite the oldest slot and advance the window.
-  ring.points[ring.start] = SeriesPoint{x, value};
-  ring.start = (ring.start + 1) % capacity_;
 }
 
 SeriesSnapshot SeriesRecorder::Snapshot() const {

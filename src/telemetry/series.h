@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,6 +77,10 @@ class SeriesRecorder {
   // Appends one point. The clock domain is fixed by the first append of `series`; later
   // appends reuse it (same pinning idiom as MetricsDelta::Observe's histogram bounds).
   void Append(std::string_view series, SeriesClock clock, double x, double value);
+  // Appends `points` in order, exactly as that many Append calls would, under one lock
+  // and one lookup: the shard-ordered screening fold samples every stream shard.
+  void AppendPoints(std::string_view series, SeriesClock clock,
+                    std::span<const SeriesPoint> points);
 
   SeriesSnapshot Snapshot() const;
   void Clear();

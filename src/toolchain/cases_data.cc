@@ -84,7 +84,11 @@ class HistogramCase : public TestcaseBase {
     for (int i = 0; i < samples_; ++i) {
       const auto bucket = static_cast<size_t>(context.rng->NextBelow(16));
       golden[bucket] += 1;
-      routed[bucket] = cpu.ExecuteI32(lcore, OpKind::kIntAdd, routed[bucket] + 1);
+      // A corrupted count can be any int32_t, INT32_MAX included: increment modulo 2^32
+      // (through uint32_t) instead of overflowing signed.
+      routed[bucket] = cpu.ExecuteI32(
+          lcore, OpKind::kIntAdd,
+          static_cast<int32_t>(static_cast<uint32_t>(routed[bucket]) + 1u));
     }
     for (size_t bucket = 0; bucket < golden.size(); ++bucket) {
       if (routed[bucket] != golden[bucket]) {

@@ -1,5 +1,6 @@
 // Unit tests for src/fault: defect activation model, damage model, injector, catalog.
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -124,6 +125,103 @@ TEST(DefectTest, StuckOneOnlyRaisesBits) {
   EXPECT_TRUE(corrupted.GetBit(5));
 }
 
+// The per-core loop Defect::ExpectedErrorsOverCores hoists its pow calls out of, kept as
+// the oracle.
+double PerCoreErrorLoop(const Defect& defect, double temperature, double ops_per_second,
+                        int pcores, double minutes_per_core) {
+  double expected = 0.0;
+  for (int pcore = 0; pcore < pcores; ++pcore) {
+    expected += defect.OccurrenceFrequencyPerMinute(temperature, ops_per_second, pcore) *
+                minutes_per_core;
+  }
+  return expected;
+}
+
+void ExpectHoistedSumIsPerCoreLoop(const Defect& defect, int pcores) {
+  for (double temperature : {20.0, 41.5, 50.0, 57.0, 66.0, 75.0, 140.0}) {
+    for (double ops : {defect.intensity_ref, 1e6, 3.7e8, 0.0}) {
+      for (double minutes : {0.25 / 60.0, 90.0 * 633.0 / 16.0 / 60.0}) {
+        const double hoisted =
+            defect.ExpectedErrorsOverCores(temperature, ops, pcores, minutes);
+        EXPECT_EQ(std::bit_cast<uint64_t>(hoisted),
+                  std::bit_cast<uint64_t>(
+                      PerCoreErrorLoop(defect, temperature, ops, pcores, minutes)))
+            << defect.id << " T=" << temperature << " ops=" << ops << " pcores=" << pcores;
+      }
+    }
+  }
+}
+
+TEST(DefectTest, HoistedCoreSumIsBitwiseThePerCoreLoop) {
+  Defect below = SimpleDefect();
+  below.id = "below-trigger";
+  below.min_trigger_celsius = 200.0;  // above every probed temperature
+  ExpectHoistedSumIsPerCoreLoop(below, 16);
+  EXPECT_EQ(below.ExpectedErrorsOverCores(75.0, 1e8, 16, 1.0), 0.0);
+
+  Defect single = SimpleDefect();
+  single.id = "single-core";
+  single.affected_pcores = {5};
+  single.pcore_rate_scale = {0.3};
+  ExpectHoistedSumIsPerCoreLoop(single, 16);
+  ExpectHoistedSumIsPerCoreLoop(single, 4);  // the affected core is absent
+  EXPECT_GT(single.ExpectedErrorsOverCores(75.0, 1e8, 16, 1.0), 0.0);
+
+  Defect all_cores = SimpleDefect();
+  all_cores.id = "all-core-scaled";
+  for (int pcore = 0; pcore < 24; ++pcore) {
+    all_cores.pcore_rate_scale.push_back(std::pow(10.0, -0.11 * pcore));
+  }
+  ExpectHoistedSumIsPerCoreLoop(all_cores, 24);
+  ExpectHoistedSumIsPerCoreLoop(all_cores, 32);  // cores past the scale table: 1.0
+
+  // The fleet's own defects, at every arch's core count.
+  Rng rng(91);
+  for (int i = 0; i < 60; ++i) {
+    const int arch = i % kArchCount;
+    const int pcores = MakeArchSpec(arch).physical_cores;
+    for (const Defect& defect : GenerateRandomDefects(rng, arch, pcores)) {
+      ExpectHoistedSumIsPerCoreLoop(defect, pcores);
+    }
+  }
+}
+
+TEST(DefectTest, UnsealedFleetDefectCorruptsLikeSealed) {
+  // Fleet generation leaves pattern CDFs unsealed (screening never corrupts); Corrupt
+  // then re-sums the weights per pick. By the WeightedCdf contract that pick equals the
+  // sealed one draw for draw, so a sealed copy must replay the identical sequence.
+  Rng generator(53);
+  int compared = 0;
+  while (compared < 12) {
+    const int arch = static_cast<int>(generator.NextBelow(kArchCount));
+    for (const Defect& unsealed : GenerateRandomDefects(
+             generator, arch, MakeArchSpec(arch).physical_cores)) {
+      if (unsealed.pattern_sets.empty()) {
+        continue;  // consistency defects have no data patterns
+      }
+      Defect sealed = unsealed;
+      sealed.SealPatternCdfs();
+      for (size_t set = 0; set < unsealed.pattern_sets.size(); ++set) {
+        ASSERT_EQ(unsealed.pattern_sets[set].weight_cdf.size(), 0u);
+        ASSERT_EQ(sealed.pattern_sets[set].weight_cdf.size(),
+                  sealed.pattern_sets[set].patterns.size());
+      }
+      for (const PatternSet& set : unsealed.pattern_sets) {
+        Rng unsealed_rng(1000 + compared);
+        Rng sealed_rng(1000 + compared);
+        for (int draw = 0; draw < 300; ++draw) {
+          const Word128 golden = BitsOfRaw(0x5a5a5a5a5a5a5a5aull + draw, 64);
+          ASSERT_EQ(unsealed.Corrupt(golden, set.type, unsealed_rng),
+                    sealed.Corrupt(golden, set.type, sealed_rng))
+              << unsealed.id << " draw " << draw;
+        }
+        EXPECT_EQ(unsealed_rng.Next(), sealed_rng.Next());
+      }
+      ++compared;
+    }
+  }
+}
+
 TEST(DefectTest, FloatFlipPositionsConcentrateInFraction) {
   Rng rng(17);
   int in_fraction = 0;
@@ -185,6 +283,17 @@ TEST(InjectorTest, CorruptsOnlyMatchingOps) {
   EXPECT_EQ(cpu.ExecuteF64(0, OpKind::kFpAdd, 1.5), 1.5);
   EXPECT_EQ(cpu.ExecuteF32(0, OpKind::kFpMul, 1.5f), 1.5f);
   EXPECT_GE(injector.total_activations(), 1u);
+}
+
+TEST(InjectorTest, SealsItsOwnDefectCopies) {
+  Defect defect = SimpleDefect();
+  Rng pattern_rng(3);
+  defect.pattern_sets = {{DataType::kFloat64,
+                          {{MakePatternMask(DataType::kFloat64, 1, pattern_rng), 1.0},
+                           {MakePatternMask(DataType::kFloat64, 2, pattern_rng), 3.0}}}};
+  const DefectInjector injector({defect}, 5);
+  EXPECT_EQ(injector.defects().front().pattern_sets.front().weight_cdf.size(), 2u);
+  EXPECT_EQ(defect.pattern_sets.front().weight_cdf.size(), 0u);
 }
 
 TEST(InjectorTest, OnsetGatesActivation) {

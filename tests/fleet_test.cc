@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/context.h"
+#include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
@@ -342,6 +343,96 @@ TEST_F(FleetTest, MatchingTestcasesFiltersByOpsAndTypes) {
   const int tx_matches = pipeline.MatchingTestcases(txmem);
   EXPECT_GT(tx_matches, 0);
   EXPECT_LT(tx_matches, 20);
+}
+
+// The linear suite scan that ScreeningPipeline::MatchingTestcases replaced with its
+// signature index, kept as the oracle: every testcase, Defect::AffectsOp / AffectsType
+// over the defect's vectors.
+int LinearMatchingTestcases(const TestSuite& suite, const Defect& defect) {
+  int matches = 0;
+  for (size_t i = 0; i < suite.size(); ++i) {
+    const TestcaseInfo& info = suite.info(i);
+    bool op_match = false;
+    for (OpKind op : info.ops) {
+      if (defect.AffectsOp(op)) {
+        op_match = true;
+        break;
+      }
+    }
+    if (!op_match) {
+      continue;
+    }
+    if (defect.type() == SdcType::kComputation) {
+      bool type_match = false;
+      for (DataType type : info.types) {
+        if (defect.AffectsType(type)) {
+          type_match = true;
+          break;
+        }
+      }
+      if (!type_match) {
+        continue;
+      }
+    }
+    ++matches;
+  }
+  return matches;
+}
+
+TEST_F(FleetTest, IndexedMatchingEqualsLinearSuiteScan) {
+  ScreeningPipeline pipeline(suite_);
+  size_t checked = 0;
+  for (const FaultyProcessorInfo& info : StudyCatalog()) {
+    for (const Defect& defect : info.defects) {
+      EXPECT_EQ(pipeline.MatchingTestcases(defect), LinearMatchingTestcases(*suite_, defect))
+          << info.cpu_id << " " << defect.id;
+      ++checked;
+    }
+  }
+  for (const Defect& defect : fleet_->defect_arena()) {
+    ASSERT_EQ(pipeline.MatchingTestcases(defect), LinearMatchingTestcases(*suite_, defect))
+        << defect.id;
+    ++checked;
+  }
+  EXPECT_GT(checked, fleet_->faulty_count());
+
+  // Synthetic edge cases. The store op is exercised by consistency testcases, which check
+  // no datatype: a computation defect with empty affected_types matches every store
+  // testcase that checks some datatype and none of those, while a cache defect on the
+  // same op ignores datatypes and matches them all.
+  Defect any_type;
+  any_type.feature = Feature::kAlu;
+  any_type.affected_ops = {OpKind::kStore, OpKind::kIntAdd};
+  Defect cache;
+  cache.feature = Feature::kCache;
+  cache.affected_ops = {OpKind::kStore};
+  Defect cache_with_types = cache;
+  cache_with_types.affected_types = {DataType::kFloat80};
+  Defect untouched_op;
+  untouched_op.feature = Feature::kAlu;
+  untouched_op.affected_ops = {};
+  Defect untouched_type;
+  untouched_type.feature = Feature::kVecUnit;
+  untouched_type.affected_ops = {OpKind::kIntAdd};
+  untouched_type.affected_types = {DataType::kFloat80};
+  Defect store_only = any_type;
+  store_only.affected_ops = {OpKind::kStore};
+  for (const Defect* defect : {&any_type, &cache, &cache_with_types, &untouched_op,
+                               &untouched_type, &store_only}) {
+    EXPECT_EQ(pipeline.MatchingTestcases(*defect), LinearMatchingTestcases(*suite_, *defect))
+        << SdcTypeName(defect->type());
+  }
+  EXPECT_EQ(pipeline.MatchingTestcases(untouched_op), 0);
+  EXPECT_GT(pipeline.MatchingTestcases(cache), pipeline.MatchingTestcases(store_only));
+  EXPECT_EQ(pipeline.MatchingTestcases(cache_with_types), pipeline.MatchingTestcases(cache));
+
+  // A sampled suite indexes its own signatures.
+  const TestSuite sampled = TestSuite::BuildSampled(7);
+  const ScreeningPipeline sampled_pipeline(&sampled);
+  for (const Defect* defect : {&any_type, &cache, &untouched_type}) {
+    EXPECT_EQ(sampled_pipeline.MatchingTestcases(*defect),
+              LinearMatchingTestcases(sampled, *defect));
+  }
 }
 
 TEST_F(FleetTest, LateOnsetDefectsDetectedInRegularRounds) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "src/fault/catalog.h"
 #include "src/toolchain/cases.h"
 #include "src/toolchain/framework.h"
@@ -220,6 +224,48 @@ TEST_F(KernelsTest, DeterministicAcrossRuns) {
     return Run(machine, "app.fft.f64.n256", 3.0).total_errors();
   };
   EXPECT_EQ(run(), run());
+}
+
+// Corrupts the first integer add it sees to INT32_MAX, then stays silent.
+class SaturateFirstAddHook : public CorruptionHook {
+ public:
+  std::optional<Word128> OnExecute(const OpContext& context, const Word128&) override {
+    if (fired_ || context.op != OpKind::kIntAdd) {
+      return std::nullopt;
+    }
+    fired_ = true;
+    return BitsOfInt32(std::numeric_limits<int32_t>::max());
+  }
+  bool OnCoherenceFault(const OpContext&) override { return false; }
+  bool OnTxFault(const OpContext&) override { return false; }
+
+ private:
+  bool fired_ = false;
+};
+
+TEST(HistogramOverflowTest, CountCorruptedToInt32MaxWrapsOnTheNextIncrement) {
+  // A corrupted bucket count can be any int32_t. The histogram's next increment of a
+  // count at INT32_MAX must wrap modulo 2^32: signed overflow there would be undefined
+  // behaviour (the UBSan build aborts on it), and the golden comparison must still flag
+  // exactly that bucket.
+  FaultyMachine machine(MakeArchSpec("M2"));
+  SaturateFirstAddHook hook;
+  machine.cpu().SetCorruptionHook(&hook);
+  Rng rng(5);
+  std::vector<SdcRecord> records;
+  TestContext context;
+  context.machine = &machine;
+  context.lcores = {0};
+  context.rng = &rng;
+  context.records = &records;
+  MakeHistogramCase(256)->RunBatch(context);
+  ASSERT_EQ(records.size(), 1u);
+  const int32_t golden = Int32FromBits(records[0].expected);
+  ASSERT_GE(golden, 2) << "the corrupted bucket must be incremented again";
+  const auto wrapped =
+      static_cast<int32_t>(static_cast<uint32_t>(std::numeric_limits<int32_t>::max()) +
+                           static_cast<uint32_t>(golden - 1));
+  EXPECT_EQ(Int32FromBits(records[0].actual), wrapped);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // byte-identical at 1, 2, and 8 threads, in streaming and materialized execution, for
 // both the screening pass and the scrubber's epoch loop.
 
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +54,28 @@ TEST(SeriesRecorderTest, EvictsOldestOnceFullAndCountsDropped) {
   EXPECT_EQ(ring.dropped, 2u);
   EXPECT_EQ(ring.total_points, 5u);
   EXPECT_EQ(ring.points.size() + ring.dropped, ring.total_points);
+}
+
+TEST(SeriesRecorderTest, AppendPointsIsThatManyAppends) {
+  // Across the eviction boundary, in two batches, and with an empty batch that must not
+  // create (and clock-pin) a series.
+  SeriesRecorder one_by_one(/*capacity=*/4);
+  SeriesRecorder batched(/*capacity=*/4);
+  std::vector<SeriesPoint> points;
+  for (int i = 0; i < 7; ++i) {
+    points.push_back({static_cast<double>(i), i * 3.0});
+    one_by_one.Append("ring", SeriesClock::kSim, i, i * 3.0);
+  }
+  batched.AppendPoints("ring", SeriesClock::kSim, std::span(points).first(2));
+  batched.AppendPoints("ring", SeriesClock::kSim, std::span(points).subspan(2));
+  batched.AppendPoints("never", SeriesClock::kHost, {});
+  const SeriesSnapshot expected = one_by_one.Snapshot();
+  const SeriesSnapshot actual = batched.Snapshot();
+  EXPECT_TRUE(actual.host.empty());
+  ASSERT_EQ(actual.sim.size(), 1u);
+  EXPECT_EQ(actual.sim.at("ring").points, expected.sim.at("ring").points);
+  EXPECT_EQ(actual.sim.at("ring").dropped, expected.sim.at("ring").dropped);
+  EXPECT_EQ(actual.sim.at("ring").total_points, expected.sim.at("ring").total_points);
 }
 
 TEST(SeriesRecorderTest, ClockDomainIsPinnedByFirstAppend) {

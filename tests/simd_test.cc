@@ -7,6 +7,7 @@
 // output, even on adversarial fleets (all-faulty, zero-faulty, sizes that straddle
 // shard boundaries).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -142,9 +143,12 @@ DrawClassifyTables MakeTables(int class_count, std::span<const uint64_t> bounds,
     tables.cdf_bounds_u53[i] =
         i < static_cast<int>(bounds.size()) ? bounds[static_cast<size_t>(i)] : kClassifyNever;
   }
+  tables.fault_threshold_max_u53 = 0;  // tight, as GenerationPlan fills it
   for (int i = 0; i < kMaxClassifyClasses; ++i) {
     tables.fault_thresholds_u53[i] =
         i < static_cast<int>(thresholds.size()) ? thresholds[static_cast<size_t>(i)] : 0;
+    tables.fault_threshold_max_u53 =
+        std::max(tables.fault_threshold_max_u53, tables.fault_thresholds_u53[i]);
   }
   return tables;
 }
@@ -218,6 +222,50 @@ TEST(SimdClassifyTest, BoundaryDrawsClassifyExactly) {
       EXPECT_EQ(hits, expected_hits) << SimdLevelName(level);
       EXPECT_EQ(std::memcmp(actual_class, expected_class, 4), 0) << SimdLevelName(level);
       EXPECT_EQ(actual_bits[0], expected_bits[0]) << SimdLevelName(level);
+    }
+  }
+}
+
+TEST(SimdClassifyTest, QuickRejectCandidatesResolveAgainstTheirOwnClass) {
+  // The vector kernels test f < fault_threshold_max_u53 once per vector and resolve only
+  // the lanes below it exactly. A lane below the max but at or above its own class's
+  // threshold is a candidate that must come out clean; a lane below its own threshold
+  // must come out faulty; every class is probed in every lane position.
+  const uint64_t bound = uint64_t{1} << 52;
+  const uint64_t low = uint64_t{1} << 30;   // class 0's threshold
+  const uint64_t high = uint64_t{1} << 45;  // class 1's threshold: the max
+  DrawClassifyTables tables =
+      MakeTables(2, std::vector<uint64_t>{bound}, std::vector<uint64_t>{low, high});
+  ASSERT_EQ(tables.fault_threshold_max_u53, high);
+  const uint64_t a_values[] = {bound - 1, bound};                  // class 0, class 1
+  const uint64_t f_values[] = {low - 1, low, high - 1, high, 0};  // around both thresholds
+  std::vector<uint64_t> draws;
+  for (int rotation = 0; rotation < 4; ++rotation) {
+    for (const uint64_t a : a_values) {
+      for (const uint64_t f : f_values) {
+        draws.push_back(a << 11 | static_cast<uint64_t>(rotation));
+        draws.push_back(f << 11);
+      }
+    }
+    draws.push_back(0);  // shifts every later pair by one lane
+    draws.push_back(high << 11);
+  }
+  const size_t count = draws.size() / 2;
+  std::vector<uint8_t> expected_class(count);
+  std::vector<uint64_t> expected_bits((count + 63) / 64);
+  const size_t expected_hits = NaiveClassify(draws.data(), count, tables,
+                                             expected_class.data(), expected_bits.data());
+  ASSERT_GT(expected_hits, 0u);
+  for (const uint64_t max_bound : {high, kClassifyNever}) {  // tight, and no reject
+    tables.fault_threshold_max_u53 = max_bound;
+    for (const SimdLevel level : SupportedLevels()) {
+      std::vector<uint8_t> actual_class(count);
+      std::vector<uint64_t> actual_bits((count + 63) / 64);
+      const size_t hits = ClassifyDrawPairs(draws.data(), count, tables,
+                                            actual_class.data(), actual_bits.data(), level);
+      EXPECT_EQ(hits, expected_hits) << SimdLevelName(level) << " max=" << max_bound;
+      EXPECT_EQ(actual_class, expected_class) << SimdLevelName(level);
+      EXPECT_EQ(actual_bits, expected_bits) << SimdLevelName(level) << " max=" << max_bound;
     }
   }
 }

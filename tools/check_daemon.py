@@ -147,9 +147,11 @@ def main() -> int:
 
         # 3. Cancellation: saturate the budget, cancel a queued campaign, and require a
         # terminal state with no result served. The submit/submit/cancel triple goes over
-        # raw sockets: forked-client latency must not give the blocker (a sweep, several
-        # fleet-scan passes of headroom) time to finish and let the victim run to done.
-        blocker_spec = f"processors={processors} lanes=4 sweep=seeds:8"
+        # raw sockets: forked-client latency must not give the blocker time to finish and
+        # let the victim run to done. The blocker is a sweep over a fleet ten times the
+        # victim's: at 100k processors a same-size sweep takes only a few milliseconds,
+        # which a loaded host can spend on the three round trips alone.
+        blocker_spec = f"processors={10 * processors} lanes=4 sweep=seeds:8"
         blocker_reply = raw_request(socket, f"submit {blocker_spec}")
         assert blocker_reply.startswith("ok id="), blocker_reply
         blocker = blocker_reply[len("ok id="):]

@@ -14,7 +14,7 @@ Runs the bench at a small fleet size and asserts:
     cached-vs-reference screening speedup > 1, a batch amortization at K=8 of at least
     MIN_BATCH_AMORTIZATION (the relative acceptance bound: one batched pass must beat
     8 independent passes by >= 2x; it holds in scalar builds too, because the shared
-    work the batch amortizes -- the clean-path scan and the MatchingTestcases memo --
+    work the batch amortizes -- the clean-path scan and the per-part model tables --
     exists at every dispatch level), and a blocked-vs-reference generate speedup of at
     least MIN_GENERATE_SPEEDUP (relative for the same flaky-host reason; the blocked
     generator's win -- bulk uniform fill, branchless classify, no per-draw weight
@@ -27,7 +27,7 @@ records the real-host numbers against the ~1.2 ns target.
 
 `--processors N` overrides the fleet size (default 50000). The summary's
 series_overhead -- attached-SeriesRecorder screen wall over plain screen wall at one
-thread -- is bounded at 1.02 (the <= 2% acceptance tax) when N >= 1M, where per-shard
+thread, the median over 100 back-to-back pairs -- is bounded at 1.02 (the <= 2% acceptance tax) when N >= 1M, where per-shard
 sampling cost is amortized over real work; smoke sizes get a loose 1.25 bound because a
 single scheduler tick moves a sub-millisecond ratio.
 """
