@@ -1,11 +1,15 @@
 // Shared helpers for the experiment harnesses in bench/. Each binary regenerates one of the
 // paper's tables or figures and prints the paper's reported values next to the measured
-// ones, so the reproduction can be eyeballed row by row.
+// ones, so the reproduction can be eyeballed row by row. The JSON micro benches share the
+// wall-clock timers at the end.
 
 #ifndef SDC_BENCH_BENCH_UTIL_H_
 #define SDC_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 
@@ -72,6 +76,33 @@ inline void PrintExperimentHeader(const std::string& id, const std::string& desc
   std::printf("(paper: \"Understanding Silent Data Corruptions in a Large\n");
   std::printf(" Production CPU Population\", SOSP 2023)\n");
   std::printf("==============================================================\n");
+}
+
+// Seconds one call of `fn` takes on the steady clock.
+inline double WallSeconds(const std::function<void()>& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  return elapsed.count();
+}
+
+// True when `mismatch` -- an identity comparator's result (tests/oracle/oracle.h) -- is
+// empty; otherwise prints it to stderr, so a failed determinism check names the first
+// differing field.
+inline bool NoMismatch(const std::string& mismatch) {
+  if (!mismatch.empty()) {
+    std::fprintf(stderr, "divergence: %s\n", mismatch.c_str());
+  }
+  return mismatch.empty();
+}
+
+// Fastest of `repeats` calls of `fn`.
+inline double BestWallSeconds(int repeats, const std::function<void()>& fn) {
+  double best = 1e300;
+  for (int i = 0; i < repeats; ++i) {
+    best = std::min(best, WallSeconds(fn));
+  }
+  return best;
 }
 
 }  // namespace sdc

@@ -5,14 +5,13 @@
 // Determinism is asserted as a side effect: every thread count must reproduce the
 // single-thread checksum of its workload.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/parallel.h"
 #include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
@@ -22,13 +21,6 @@
 
 namespace sdc {
 namespace {
-
-double WallSeconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
 
 std::vector<int> ThreadCounts() {
   std::vector<int> counts = {1, 2, 4};

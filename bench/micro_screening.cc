@@ -7,21 +7,22 @@
 // "generate_screen" run under both models:
 //   cached    -- the production path: per-defect survive terms memoized once per
 //                faulty processor, clean parts streamed via the packed byte columns.
-//   reference -- the pre-memoization implementation kept behind
-//                ScreeningConfig::use_reference_model, recomputing
-//                MatchingTestcases/ExpectedErrors at every probe.
+//   reference -- the pre-memoization model, the ReferenceScreen test oracle
+//                (tests/oracle/oracle.h), recomputing MatchingTestcases/ExpectedErrors
+//                at every probe.
 // The binary asserts that both models, at every thread count, produce identical
-// ScreeningStats (counters and the detections vector, months compared bitwise) and
-// exits non-zero on any divergence; the closing "summary" line reports the
-// cached-vs-reference screening speedup at one thread.
+// ScreeningStats (IdenticalStats: counters, detections and provenance, doubles compared
+// bitwise), prints the first mismatch and exits non-zero on any divergence; the closing
+// "summary" line reports the cached-vs-reference screening speedup at one thread.
 //
 // "generate" likewise runs under both models: cached is the blocked SIMD generator
 // (GenerationPlan + bulk uniform fill + branchless classify, docs/performance.md),
-// reference the original per-processor loop kept behind
-// PopulationConfig::use_reference_generator. The binary asserts the two fleets are
-// byte-identical -- columns, faulty index, defect arena (doubles compared bitwise),
-// per-arch tallies -- at every thread count, and the summary reports the blocked
-// generator's speedup at one thread.
+// reference the original per-processor loop, the ReferenceGenerate test oracle. The
+// binary asserts the two fleets are byte-identical (IdenticalFleets: columns, faulty
+// index, defect arena with every field's doubles compared bitwise, per-arch tallies) at
+// every thread count, and the summary reports the blocked generator's speedup at one
+// thread. Every timed call of either model builds its own EngineContext, as the
+// context-free production calls do.
 //
 // Further row families cover the batched engine and the SIMD kernels
 // (docs/performance.md):
@@ -49,14 +50,13 @@
 // Defaults: 1,000,000 processors, best-of-5. CI smoke runs use a small count.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "bench/micro_args.h"
 #include "src/common/context.h"
 #include "src/common/simd.h"
@@ -64,24 +64,10 @@
 #include "src/fleet/population.h"
 #include "src/telemetry/series.h"
 #include "src/toolchain/registry.h"
+#include "tests/oracle/oracle.h"
 
 namespace sdc {
 namespace {
-
-double WallSeconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
-
-double BestWallSeconds(int repeats, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int i = 0; i < repeats; ++i) {
-    best = std::min(best, WallSeconds(fn));
-  }
-  return best;
-}
 
 // Rounds behind each summary ratio. A ratio bounded within a few percent (the series
 // tax: 2% at fleet scale) of two walls of a millisecond or less needs more samples than
@@ -137,99 +123,6 @@ ScreeningConfig BatchScenario(int k) {
   return config;
 }
 
-// Bitwise equality of two screening results: every counter and every detection,
-// including the exact bit pattern of the detection-month doubles.
-bool IdenticalStats(const ScreeningStats& a, const ScreeningStats& b) {
-  if (a.tested != b.tested || a.faulty != b.faulty ||
-      a.detected_by_stage != b.detected_by_stage || a.tested_by_arch != b.tested_by_arch ||
-      a.detected_by_arch != b.detected_by_arch ||
-      a.detections.size() != b.detections.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.detections.size(); ++i) {
-    const ProcessorOutcome& x = a.detections[i];
-    const ProcessorOutcome& y = b.detections[i];
-    if (x.serial != y.serial || x.arch_index != y.arch_index || x.detected != y.detected ||
-        x.stage != y.stage ||
-        std::memcmp(&x.month, &y.month, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
-
-bool IdenticalDefects(const Defect& a, const Defect& b) {
-  if (a.id != b.id || a.feature != b.feature || a.affected_ops != b.affected_ops ||
-      a.affected_types != b.affected_types || a.affected_pcores != b.affected_pcores ||
-      a.semantics != b.semantics ||
-      a.pcore_rate_scale.size() != b.pcore_rate_scale.size() ||
-      a.pattern_sets.size() != b.pattern_sets.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.pcore_rate_scale.size(); ++i) {
-    if (!SameBits(a.pcore_rate_scale[i], b.pcore_rate_scale[i])) {
-      return false;
-    }
-  }
-  if (!SameBits(a.min_trigger_celsius, b.min_trigger_celsius) ||
-      !SameBits(a.base_log10_rate, b.base_log10_rate) ||
-      !SameBits(a.temp_slope, b.temp_slope) ||
-      !SameBits(a.intensity_ref, b.intensity_ref) ||
-      !SameBits(a.intensity_exponent, b.intensity_exponent) ||
-      !SameBits(a.pattern_probability, b.pattern_probability) ||
-      !SameBits(a.multi_flip_probability, b.multi_flip_probability) ||
-      !SameBits(a.extra_flip_probability, b.extra_flip_probability) ||
-      !SameBits(a.onset_months, b.onset_months)) {
-    return false;
-  }
-  for (size_t s = 0; s < a.pattern_sets.size(); ++s) {
-    const PatternSet& x = a.pattern_sets[s];
-    const PatternSet& y = b.pattern_sets[s];
-    if (x.type != y.type || x.patterns.size() != y.patterns.size()) {
-      return false;
-    }
-    for (size_t p = 0; p < x.patterns.size(); ++p) {
-      if (x.patterns[p].mask.lo != y.patterns[p].mask.lo ||
-          x.patterns[p].mask.hi != y.patterns[p].mask.hi ||
-          !SameBits(x.patterns[p].weight, y.patterns[p].weight)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-// Byte-identity of two fleets: packed columns, sparse faulty index, arena ranges, every
-// defect field (doubles bitwise), and the merged per-arch tallies -- the contract the
-// blocked generator makes against the reference loop (docs/performance.md).
-bool IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b) {
-  if (a.size() != b.size() || a.arch_bytes() != b.arch_bytes() ||
-      a.flag_bytes() != b.flag_bytes() || a.faulty_serials() != b.faulty_serials() ||
-      a.faulty_ranges().size() != b.faulty_ranges().size() ||
-      a.defect_arena().size() != b.defect_arena().size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.faulty_ranges().size(); ++i) {
-    if (a.faulty_ranges()[i].offset != b.faulty_ranges()[i].offset ||
-        a.faulty_ranges()[i].count != b.faulty_ranges()[i].count) {
-      return false;
-    }
-  }
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    if (a.CountByArch(arch) != b.CountByArch(arch)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.defect_arena().size(); ++i) {
-    if (!IdenticalDefects(a.defect_arena()[i], b.defect_arena()[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
   const MicroArgs args = ParseMicroArgs(
       argc, argv, "usage: micro_screening [processor_count] [repeats]", 1'000'000, 5);
@@ -283,22 +176,25 @@ int Main(int argc, char** argv) {
     EmitJson("generate", "cached", threads, generate_wall, processors);
 
     // The pre-blocking per-processor loop, and the blocked kernel pinned to scalar
-    // dispatch: three generators, one fleet, asserted byte-identical below.
-    PopulationConfig reference_population = population_config;
-    reference_population.use_reference_generator = true;
-    deterministic &=
-        IdenticalFleets(golden_fleet, FleetPopulation::Generate(reference_population));
+    // dispatch: three generators, one fleet, asserted byte-identical below. Like the
+    // context-free rows, each timed call builds its own context.
+    const EngineOptions options{.threads = threads};
+    {
+      EngineContext context(options);
+      deterministic &= NoMismatch(
+          IdenticalFleets(golden_fleet, ReferenceGenerate(population_config, context)));
+    }
     const double generate_reference_wall = BestWallSeconds(repeats, [&] {
-      (void)FleetPopulation::Generate(reference_population);
+      EngineContext context(options);
+      (void)ReferenceGenerate(population_config, context);
     });
     EmitJson("generate", "reference", threads, generate_reference_wall, processors);
 
-    // Like the context-free rows, each timed call builds its own (scalar) context.
     const EngineOptions scalar_options{.threads = threads, .simd = SimdLevel::kScalar};
     {
       EngineContext scalar_context(scalar_options);
-      deterministic &= IdenticalFleets(
-          golden_fleet, FleetPopulation::Generate(population_config, scalar_context));
+      deterministic &= NoMismatch(IdenticalFleets(
+          golden_fleet, FleetPopulation::Generate(population_config, scalar_context)));
     }
     const double generate_scalar_wall = BestWallSeconds(repeats, [&] {
       EngineContext scalar_context(scalar_options);
@@ -312,26 +208,29 @@ int Main(int argc, char** argv) {
     }
 
     const FleetPopulation fleet = FleetPopulation::Generate(population_config);
-    deterministic &= IdenticalFleets(golden_fleet, fleet);
+    deterministic &= NoMismatch(IdenticalFleets(golden_fleet, fleet));
+    ScreeningConfig screening_config;
+    screening_config.threads = threads;
     for (const bool use_reference : {false, true}) {
-      ScreeningConfig screening_config;
-      screening_config.threads = threads;
-      screening_config.use_reference_model = use_reference;
       const char* model = use_reference ? "reference" : "cached";
+      const auto screen = [&](const FleetPopulation& screened) {
+        if (!use_reference) {
+          return pipeline.Run(screened, screening_config);
+        }
+        EngineContext context(options);
+        return ReferenceScreen(pipeline, screened, screening_config, context);
+      };
 
-      deterministic &= IdenticalStats(golden, pipeline.Run(fleet, screening_config));
+      deterministic &= NoMismatch(IdenticalStats(golden, screen(fleet)));
 
-      const double screen_wall = BestWallSeconds(repeats, [&] {
-        (void)pipeline.Run(fleet, screening_config);
-      });
+      const double screen_wall = BestWallSeconds(repeats, [&] { (void)screen(fleet); });
       EmitJson("screen", model, threads, screen_wall, processors);
       if (threads == 1) {
         (use_reference ? reference_screen_t1 : cached_screen_t1) = screen_wall;
       }
 
       const double both_wall = BestWallSeconds(repeats, [&] {
-        const FleetPopulation f = FleetPopulation::Generate(population_config);
-        (void)pipeline.Run(f, screening_config);
+        (void)screen(FleetPopulation::Generate(population_config));
       });
       EmitJson("generate_screen", model, threads, both_wall, processors);
     }
@@ -341,8 +240,8 @@ int Main(int argc, char** argv) {
     ScreeningConfig scalar_config;
     {
       EngineContext scalar_context(scalar_options);
-      deterministic &=
-          IdenticalStats(golden, pipeline.Run(fleet, scalar_config, scalar_context));
+      deterministic &= NoMismatch(
+          IdenticalStats(golden, pipeline.Run(fleet, scalar_config, scalar_context)));
     }
     const double scalar_wall = BestWallSeconds(repeats, [&] {
       EngineContext scalar_context(scalar_options);
@@ -361,7 +260,7 @@ int Main(int argc, char** argv) {
       series_config.threads = threads;
       SeriesRecorder check_recorder;
       series_config.series = &check_recorder;
-      deterministic &= IdenticalStats(golden, pipeline.Run(fleet, series_config));
+      deterministic &= NoMismatch(IdenticalStats(golden, pipeline.Run(fleet, series_config)));
       const auto screen_with_series = [&] {
         SeriesRecorder recorder;
         ScreeningConfig timed = series_config;
@@ -393,8 +292,8 @@ int Main(int argc, char** argv) {
       for (int k = 0; k < k_count; ++k) {
         ScreeningConfig independent = batch.scenarios[static_cast<size_t>(k)];
         independent.threads = threads;
-        deterministic &=
-            IdenticalStats(batched[static_cast<size_t>(k)], pipeline.Run(fleet, independent));
+        deterministic &= NoMismatch(
+            IdenticalStats(batched[static_cast<size_t>(k)], pipeline.Run(fleet, independent)));
       }
       const double batch_wall = BestWallSeconds(repeats, [&] {
         (void)pipeline.RunBatch(fleet, batch);

@@ -12,61 +12,28 @@
 // per-lane buffer high-water mark from StreamReport) next to the bytes a materialized
 // fleet of the same size holds, so the memory win is in the same line as the time cost.
 // The binary asserts that every combination produces ScreeningStats identical to the
-// materialized one-thread run (counters and detections, months compared bitwise) and
-// exits non-zero on divergence; the closing "summary" line reports the streaming/
-// materialized ns-per-processor ratio at one thread (the acceptance bound is <= 1.2).
+// materialized one-thread run (IdenticalStats: counters, detections and provenance,
+// doubles compared bitwise), prints the first mismatch and exits non-zero on divergence;
+// the closing "summary" line reports the streaming/materialized ns-per-processor ratio at
+// one thread (the acceptance bound is <= 1.2).
 //
 // Usage: micro_stream [processor_count] [repeats]
 // Defaults: 1,000,000 processors, best-of-5. CI smoke runs use a small count.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 
+#include "bench/bench_util.h"
 #include "bench/micro_args.h"
 #include "src/common/context.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stream.h"
 #include "src/toolchain/registry.h"
+#include "tests/oracle/oracle.h"
 
 namespace sdc {
 namespace {
-
-double BestWallSeconds(int repeats, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-    best = std::min(best, elapsed.count());
-  }
-  return best;
-}
-
-// Bitwise equality of two screening results: every counter and every detection,
-// including the exact bit pattern of the detection-month doubles.
-bool IdenticalStats(const ScreeningStats& a, const ScreeningStats& b) {
-  if (a.tested != b.tested || a.faulty != b.faulty ||
-      a.detected_by_stage != b.detected_by_stage || a.tested_by_arch != b.tested_by_arch ||
-      a.detected_by_arch != b.detected_by_arch ||
-      a.detections.size() != b.detections.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.detections.size(); ++i) {
-    const ProcessorOutcome& x = a.detections[i];
-    const ProcessorOutcome& y = b.detections[i];
-    if (x.serial != y.serial || x.arch_index != y.arch_index || x.detected != y.detected ||
-        x.stage != y.stage ||
-        std::memcmp(&x.month, &y.month, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 int Main(int argc, char** argv) {
   const MicroArgs args = ParseMicroArgs(
@@ -107,9 +74,9 @@ int Main(int argc, char** argv) {
     screening_config.threads = threads;
 
     // Materialized baseline: build the fleet, scan it.
-    deterministic &= IdenticalStats(
+    deterministic &= NoMismatch(IdenticalStats(
         golden, pipeline.Run(FleetPopulation::Generate(population_config),
-                             screening_config));
+                             screening_config)));
     const double materialized_wall = BestWallSeconds(repeats, [&] {
       const FleetPopulation fleet = FleetPopulation::Generate(population_config);
       (void)pipeline.Run(fleet, screening_config);
@@ -131,7 +98,7 @@ int Main(int argc, char** argv) {
       StreamingScreen screen(&pipeline, screening_config);
       const StreamReport report = stream.Drive({&screen}, context);
       peak_scratch = report.peak_scratch_bytes;
-      deterministic &= IdenticalStats(golden, screen.TakeStats());
+      deterministic &= NoMismatch(IdenticalStats(golden, screen.TakeStats()));
     }
     const double streaming_wall = BestWallSeconds(repeats, [&] {
       StreamingScreen screen(&pipeline, screening_config);

@@ -18,12 +18,11 @@
 // Defaults: 1,000,000 processors, best-of-5.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 
+#include "bench/bench_util.h"
 #include "bench/micro_args.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
@@ -35,13 +34,6 @@ namespace sdc {
 namespace {
 
 constexpr double kMaxEnabledOverhead = 1.05;
-
-double WallSeconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
 
 int Main(int argc, char** argv) {
   const MicroArgs args = ParseMicroArgs(

@@ -61,6 +61,11 @@ double UnixSecondsNow() {
       .count();
 }
 
+bool IsTerminal(CampaignState state) {
+  return state == CampaignState::kDone || state == CampaignState::kCancelled ||
+         state == CampaignState::kFailed;
+}
+
 }  // namespace
 
 std::string CampaignStateName(CampaignState state) {
@@ -238,6 +243,10 @@ void CampaignManager::RunCampaign(Campaign& campaign) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     lanes_in_use_ -= campaign.lanes;
+    // A cancel acknowledged while the pass ran wins over a pass that completed anyway.
+    if (terminal == CampaignState::kDone && campaign.cancel.load(std::memory_order_relaxed)) {
+      terminal = CampaignState::kCancelled;
+    }
     campaign.state = terminal;
     campaign.error = std::move(error);
     campaign.finish_unix = UnixSecondsNow();
@@ -320,15 +329,20 @@ MetricsSnapshot CampaignManager::AggregateMetrics() const {
   return merged;
 }
 
-bool CampaignManager::Cancel(uint64_t id) {
+std::optional<CampaignState> CampaignManager::Cancel(uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
   Campaign* campaign = FindLocked(id);
   if (campaign == nullptr) {
-    return false;
+    return std::nullopt;
   }
+  if (IsTerminal(campaign->state)) {
+    return campaign->state;
+  }
+  // Set under mutex_, which RunCampaign's terminal transition also holds: that transition
+  // sees the flag, so a campaign that finishes its last shard anyway still ends cancelled.
   campaign->cancel.store(true, std::memory_order_relaxed);
   changed_.notify_all();
-  return true;
+  return CampaignState::kCancelled;
 }
 
 std::optional<CampaignState> CampaignManager::Wait(uint64_t id) {
@@ -337,11 +351,7 @@ std::optional<CampaignState> CampaignManager::Wait(uint64_t id) {
   if (campaign == nullptr) {
     return std::nullopt;
   }
-  changed_.wait(lock, [&] {
-    return campaign->state == CampaignState::kDone ||
-           campaign->state == CampaignState::kCancelled ||
-           campaign->state == CampaignState::kFailed;
-  });
+  changed_.wait(lock, [&] { return IsTerminal(campaign->state); });
   return campaign->state;
 }
 

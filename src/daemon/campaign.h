@@ -153,9 +153,12 @@ class CampaignManager {
   const EventLog& events() const { return events_; }
 
   // Requests cancellation: a queued campaign never starts, a running one stops at its
-  // next shard boundary (remaining shards are skipped, generation included). Returns
-  // false for unknown ids; cancelling a finished campaign is a no-op returning true.
-  bool Cancel(uint64_t id);
+  // next shard boundary (remaining shards are skipped, generation included) and ends
+  // kCancelled even if its pass completes first. Returns kCancelled for those, the
+  // campaign's own state for one already terminal (left untouched, so a done campaign
+  // still serves its result), and nullopt for unknown ids. A running pass that fails
+  // still ends kFailed.
+  std::optional<CampaignState> Cancel(uint64_t id);
 
   // Blocks until the campaign reaches a terminal state; nullopt for unknown ids.
   std::optional<CampaignState> Wait(uint64_t id);

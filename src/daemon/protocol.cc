@@ -209,10 +209,13 @@ ProtocolReply HandleRequestLine(CampaignManager& manager, const std::string& lin
   }
 
   if (verb == "cancel") {
-    if (!manager.Cancel(*id)) {
+    // Names the state the campaign ends in: `cancelled`, or the terminal state of a
+    // campaign that had already finished.
+    const std::optional<CampaignState> state = manager.Cancel(*id);
+    if (!state.has_value()) {
       return Err("unknown-id", "no campaign " + id_token);
     }
-    return Ok("ok cancelled id=" + id_token);
+    return Ok("ok " + CampaignStateName(*state) + " id=" + id_token);
   }
 
   if (verb == "wait") {

@@ -11,8 +11,8 @@
 // Equivalence contract: driving a session to completion reproduces the retained reference
 // loop byte for byte -- same ProtectionReport, same event-log sequence, same metrics and
 // trace deltas -- regardless of the Step quantum (an iteration of the control loop is the
-// indivisible unit, and iterations never look at quantum boundaries). The reference
-// implementation stays reachable through WorkloadSpec::use_reference_loop, and
+// indivisible unit, and iterations never look at quantum boundaries). The reference loop
+// is kept verbatim as a test oracle (tests/oracle/oracle.h), and
 // tests/session_test.cc pins the equivalence at several quanta.
 //
 // The budgeted round path (RunTestRound with a finite budget, optionally with a rotating

@@ -147,8 +147,9 @@ static_assert(kFleetShardGrain % kScreeningShardGrain == 0,
               "stream shards must tile exactly into screening shards");
 
 // Shared by the public ExpectedErrors and the memo builder so both evaluate the exact
-// same floating-point expression: byte-identical stats between the memoized and the
-// reference model depend on the terms being bitwise equal.
+// same floating-point expression: byte-identical stats between the memoized model and
+// the test oracle, which calls ExpectedErrors at every probe, depend on the terms being
+// bitwise equal.
 double ExpectedErrorsWithMatching(const Defect& defect, const StageParams& stage,
                                   int pcores, int matching) {
   if (matching == 0) {
@@ -166,8 +167,8 @@ double ExpectedErrorsWithMatching(const Defect& defect, const StageParams& stage
 // function of the defect, the stage parameters, and the core count only -- never of the
 // scenario's seed, cadence, horizon, or grouping -- so the batched kernel computes one
 // table per group of scenarios with bit-identical stage parameters. The expressions
-// mirror ScreenProcessorReference exactly (same helper, same term shape), which keeps
-// the cached doubles bitwise equal to what the reference computes.
+// mirror the pre-memoization model exactly (same helper, same term shape), which keeps
+// the cached doubles bitwise equal to what the test oracle computes.
 void ComputeSurviveTerms(std::span<const Defect> defects, std::span<const int> matching,
                          const std::array<StageParams, kStageCount>& stages, int pcores,
                          std::span<std::array<double, kStageCount>> terms) {
@@ -221,10 +222,9 @@ void ReserveMergedDetections(ScreeningStats& total, size_t count) {
   total.provenance.reserve(total.provenance.size() + count);
 }
 
-// Provenance shared by the memoized and reference models: the defect context is reduced
-// the same way in both (first id, min onset, min trigger), so the two models emit
-// byte-identical records. sub_shard / rng_stream are stamped later by ScreenShardRange,
-// the one frame that knows the shard index.
+// Provenance of one detection: the defect context reduced to its first id, min onset
+// and min trigger. sub_shard / rng_stream are stamped later by FinishShardRange, once
+// per screening shard.
 DetectionProvenance ProvenanceOf(uint64_t serial, int arch_index,
                                  std::span<const Defect> defects,
                                  const ScreeningConfig& config, TestStage stage,
@@ -325,10 +325,10 @@ void ReplayFaultyProbes(uint64_t serial, int arch_index, std::span<const Defect>
   }
 }
 
-// Shared epilogue of the screening kernel's two model paths: stamps the shard identity
-// onto the provenance records appended during the call and, when tracing, emits the
-// shard's "screen.subshard" span plus one "detection" instant per new detection. The
-// screening shard index and its RNG stream coincide by construction (Rng::Fork(sub_shard)).
+// Epilogue of the screening kernel, per scenario: stamps the shard identity onto the
+// provenance records appended during the call and, when tracing, emits the shard's
+// "screen.subshard" span plus one "detection" instant per new detection. The screening
+// shard index and its RNG stream coincide by construction (Rng::Fork(sub_shard)).
 void FinishShardRange(uint64_t begin, uint64_t end, uint64_t sub_shard,
                       size_t first_detection, uint64_t faulty_before,
                       ScreeningStats& stats, TraceDelta* trace) {
@@ -374,18 +374,6 @@ double ScreeningPipeline::ExpectedErrors(const Defect& defect, const StageParams
   return ExpectedErrorsWithMatching(defect, stage, pcores, MatchingTestcases(defect));
 }
 
-void ScreeningPipeline::ScreenShardRange(const FleetShard& shard, uint64_t begin,
-                                         uint64_t end, const ScreeningConfig& config,
-                                         uint64_t sub_shard, Rng& rng, ScreeningStats& stats,
-                                         TraceDelta* trace) const {
-  const size_t first_detection = stats.detections.size();
-  const uint64_t faulty_before = stats.faulty;
-  for (uint64_t serial = begin; serial < end; ++serial) {
-    ScreenProcessorReference(shard.processor(serial), config, rng, stats);
-  }
-  FinishShardRange(begin, end, sub_shard, first_detection, faulty_before, stats, trace);
-}
-
 void ScreeningPipeline::ScreenShardRangeBatch(
     const FleetShard& shard, uint64_t begin, uint64_t end,
     std::span<const ScreeningConfig> scenarios,
@@ -393,24 +381,8 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     SimdLevel simd, std::span<Rng> rngs, std::span<ScreeningStats> stats,
     std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
-  // Reference-model scenarios replay the per-processor oracle on their own (in streaming
-  // mode they still ride the shared generation pass). Cached scenarios share the work
-  // below; this is the one memoized screening loop, for K = 1 as for any K.
-  bool any_cached = false;
-  for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      ScreenShardRange(shard, begin, end, scenarios[k], sub_shard, rngs[k], stats[k],
-                       traces[k]);
-    } else {
-      any_cached = true;
-    }
-  }
-  if (!any_cached) {
-    return;
-  }
-
-  // Scenario-invariant work, paid once for the whole batch: the clean-path arch
-  // histogram and the faulty-range lookup.
+  // The one screening loop, for K = 1 as for any K. Scenario-invariant work, paid once
+  // for the whole batch: the clean-path arch histogram and the faulty-range lookup.
   uint64_t hist[kArchCount] = {};
   CountBytesByValue(shard.arch_bytes.data() + (begin - shard.begin), end - begin,
                     kArchCount, hist, simd);
@@ -422,9 +394,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<size_t> first_detection(k_count);
   std::vector<uint64_t> faulty_before(k_count);
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      continue;
-    }
     first_detection[k] = stats[k].detections.size();
     faulty_before[k] = stats[k].faulty;
     stats[k].tested += end - begin;
@@ -442,9 +411,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   std::vector<size_t> group_of(k_count, 0);
   std::vector<size_t> group_rep;
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      continue;
-    }
     size_t g = 0;
     while (g < group_rep.size() &&
            std::memcmp(&scenarios[group_rep[g]].stages, &scenarios[k].stages,
@@ -458,8 +424,8 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   }
 
   // Faulty-major loop: the suite-matching memo, the sorted onsets, and each group's
-  // survive-term table are computed once per part and replayed under every cached
-  // scenario -- only the probe schedule itself is per-scenario work. Scenario k consumes
+  // survive-term table are computed once per part and replayed under every scenario --
+  // only the probe schedule itself is per-scenario work. Scenario k consumes
   // only rngs[k], in ascending serial order -- exactly the draw sequence its independent
   // run makes, which is what keeps every batched slot byte-identical.
   std::vector<int> matching;
@@ -489,9 +455,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
       }
     }
     for (size_t k = 0; k < k_count; ++k) {
-      if (scenarios[k].use_reference_model) {
-        continue;
-      }
       ++stats[k].faulty;
       if (!detectable) {
         continue;  // escapes every stage (Section 2.3's false negatives)
@@ -501,9 +464,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     }
   }
   for (size_t k = 0; k < k_count; ++k) {
-    if (scenarios[k].use_reference_model) {
-      continue;
-    }
     FinishShardRange(begin, end, sub_shard, first_detection[k], faulty_before[k], stats[k],
                      traces[k]);
   }
@@ -536,73 +496,6 @@ std::vector<ScreeningStats> ScreeningPipeline::RunBatch(const FleetPopulation& f
   StreamingScreen screen(this, batch);
   screen.ScreenFleet(fleet, context);
   return screen.TakeBatchStats();
-}
-
-void ScreeningPipeline::ScreenProcessorReference(const FleetProcessorView& processor,
-                                                 const ScreeningConfig& config, Rng& rng,
-                                                 ScreeningStats& stats) const {
-  ++stats.tested;
-  ++stats.tested_by_arch[processor.arch_index];
-  if (!processor.faulty) {
-    return;
-  }
-  ++stats.faulty;
-  if (!processor.toolchain_detectable) {
-    return;  // escapes every stage (Section 2.3's false negatives)
-  }
-  const int pcores = MakeArchSpec(processor.arch_index).physical_cores;
-
-  // Per-stage detection probabilities recomputed from scratch at every probe (a part is
-  // detected when any defect reproduces).
-  auto stage_probability = [&](const StageParams& stage, double age_months) {
-    double survive = 1.0;
-    for (const Defect& defect : processor.defects) {
-      if (defect.onset_months > age_months) {
-        continue;  // not yet developed
-      }
-      const double expected = ExpectedErrors(defect, stage, pcores);
-      survive *= 1.0 - stage.catch_factor * (1.0 - std::exp(-expected));
-    }
-    return 1.0 - survive;
-  };
-
-  bool detected = false;
-  TestStage detected_stage = TestStage::kFactory;
-  double detected_month = 0.0;
-  const TestStage pre_production[] = {TestStage::kFactory, TestStage::kDatacenter,
-                                      TestStage::kReinstall};
-  for (TestStage stage : pre_production) {
-    if (rng.NextBernoulli(
-            stage_probability(config.stages[static_cast<int>(stage)], 0.0))) {
-      detected = true;
-      detected_stage = stage;
-      break;
-    }
-  }
-  if (!detected) {
-    for (int cycle = 1;; ++cycle) {
-      const double month = RegularRoundMonth(processor.serial, cycle, config);
-      if (month > config.horizon_months) {
-        break;
-      }
-      if (rng.NextBernoulli(stage_probability(
-              config.stages[static_cast<int>(TestStage::kRegular)], month))) {
-        detected = true;
-        detected_stage = TestStage::kRegular;
-        detected_month = month;
-        break;
-      }
-    }
-  }
-  if (detected) {
-    ++stats.detected_by_stage[static_cast<int>(detected_stage)];
-    ++stats.detected_by_arch[processor.arch_index];
-    stats.detections.push_back({processor.serial, processor.arch_index, true,
-                                detected_stage, detected_month});
-    stats.provenance.push_back(ProvenanceOf(processor.serial, processor.arch_index,
-                                            processor.defects, config, detected_stage,
-                                            detected_month));
-  }
 }
 
 ShardOutcomeObserver::~ShardOutcomeObserver() = default;

@@ -19,9 +19,10 @@
 // when a wear-out defect's onset month is crossed -- every other cycle is a cached
 // lookup. The clean-processor fast path never touches the model at all: it streams the
 // packed per-processor byte columns and jumps between faulty parts via the fleet's
-// sorted faulty-serial index. The pre-memoization implementation is retained as a
-// test-only reference (ScreeningConfig::use_reference_model) and the equivalence suite
-// asserts byte-identical stats between the two at several thread counts.
+// sorted faulty-serial index. The pre-memoization implementation is kept as a test
+// oracle outside the library (ReferenceScreen, tests/oracle/oracle.h), and the
+// equivalence suite asserts byte-identical stats between the two at several thread
+// counts.
 
 #ifndef SDC_SRC_FLEET_PIPELINE_H_
 #define SDC_SRC_FLEET_PIPELINE_H_
@@ -85,10 +86,6 @@ struct ScreeningConfig {
   // 1 = serial. Stats are bit-identical for a given seed at any thread count (see
   // docs/parallelism.md); SDC_THREADS overrides this value.
   int threads = 0;
-  // Test-only hook: run the slow pre-memoization model that recomputes MatchingTestcases
-  // and ExpectedErrors at every probe. Output must be byte-identical to the default
-  // memoized path (tests/screening_model_test.cc); production callers leave this false.
-  bool use_reference_model = false;
   // Optional metric sink ("screening.*"): per-shard MetricsDelta objects merged in shard
   // order, thread-count invariant except the wall-clock shard timers
   // (docs/observability.md). Null disables instrumentation.
@@ -145,7 +142,7 @@ struct ProcessorOutcome {
 // Compact provenance record attached to every screening detection: enough context to
 // answer "which defect, drawn from which RNG stream, was caught where and why" without
 // re-running the fleet (docs/observability.md). Built inside the screening kernel, so it
-// exists for both the memoized and reference models and for both execution modes;
+// exists in both execution modes;
 // ScreeningStats keeps it parallel to `detections` (same length, same order).
 struct DetectionProvenance {
   uint64_t serial = 0;
@@ -229,38 +226,24 @@ class ScreeningPipeline {
  private:
   friend class StreamingScreen;
 
-  // Reference-model screening of serials [begin, end) of `shard` against `rng`: the
-  // per-processor oracle (ScreenProcessorReference), one screening shard
-  // (kScreeningShardGrain) per forked RNG stream. `sub_shard` is that global shard index,
-  // stamped into every new provenance record and, when `trace` is non-null, emitted as the
-  // shard's "screen.subshard" span plus one "detection" instant per new detection. The
-  // batched kernel falls back to this for scenarios with config.use_reference_model.
-  void ScreenShardRange(const FleetShard& shard, uint64_t begin, uint64_t end,
-                        const ScreeningConfig& config, uint64_t sub_shard, Rng& rng,
-                        ScreeningStats& stats, TraceDelta* trace) const;
-
   // The screening kernel: one pass over serials [begin, end) of `shard` (a stream shard
   // or a FleetPopulation::Shard view: the one shape screening runs on, which is how both
   // execution modes share every instruction of the hot loop) that accumulates into
   // stats[k] for every scenario k (counters add, so one stats object may accumulate
   // several consecutive sub-shards), drawing scenario k's randomness only from rngs[k] in
   // serial order -- the reason each slot is byte-identical to a run of that scenario
-  // alone. Cached-model scenarios share the SIMD arch histogram and the per-defect
-  // MatchingTestcases memo; reference-model scenarios fall back to ScreenShardRange.
-  // traces[k] may be null per scenario. All spans must have scenarios.size() entries.
+  // alone. Every scenario shares the SIMD arch histogram and the per-defect
+  // MatchingTestcases memo. `sub_shard` is the global screening shard index (one forked
+  // RNG stream per kScreeningShardGrain serials), stamped into every new provenance
+  // record and, when traces[k] is non-null, emitted as the sub-shard's "screen.subshard"
+  // span plus one "detection" instant per new detection. traces[k] may be null per
+  // scenario. All spans must have scenarios.size() entries.
   void ScreenShardRangeBatch(const FleetShard& shard, uint64_t begin, uint64_t end,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
                              uint64_t sub_shard, SimdLevel simd, std::span<Rng> rngs,
                              std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
-
-  // Pre-memoization implementation, kept verbatim as the equivalence-test oracle. Screens
-  // one processor (clean parts included), recomputing MatchingTestcases / ExpectedErrors
-  // at every probe. Reached only via ScreeningConfig::use_reference_model.
-  void ScreenProcessorReference(const FleetProcessorView& processor,
-                                const ScreeningConfig& config, Rng& rng,
-                                ScreeningStats& stats) const;
 
   // One distinct (ops, types) mask pair of the suite and how many testcases carry it.
   struct SuiteSignature {

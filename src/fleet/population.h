@@ -77,11 +77,6 @@ struct PopulationConfig {
   // Output is bit-identical for a given seed at any thread count (see docs/parallelism.md);
   // SDC_THREADS overrides this value.
   int threads = 0;
-  // Runs the original per-processor scalar generator instead of the blocked kernel
-  // (docs/performance.md). Both produce the same fleet to the bit -- columns, faulty
-  // index, defect arena, tallies -- which tests and bench/micro_screening assert; the
-  // flag exists so that equivalence stays checkable forever (the PR 3 / PR 6 precedent).
-  bool use_reference_generator = false;
   // Optional metric sink ("fleet.generate.*"): per-shard deltas merged in shard order, so
   // recorded values obey the same thread-count invariance as the fleet itself
   // (docs/observability.md). Null disables instrumentation.
@@ -138,9 +133,10 @@ struct FleetShardBuffer {
 // (weight re-summing, MakeArchSpec lookups, CDF boundaries, Bernoulli thresholds) lives
 // here instead of in the per-processor loop. `blocked` reports whether the bulk kernel
 // is usable: it needs an exact, drawing arch CDF and a per-arch prevalence that consumes
-// exactly one draw per processor (0 < rate/detectability < 1); any degenerate config --
-// or PopulationConfig::use_reference_generator -- falls back to the reference loop,
-// which handles every input. Both paths generate identical bytes (docs/performance.md).
+// exactly one draw per processor (0 < rate/detectability < 1); any degenerate config
+// falls back to the per-processor loop, which handles every input. Both paths generate
+// identical bytes (docs/performance.md); the test oracle ReferenceGenerate
+// (tests/oracle/oracle.h) clears `blocked` to check that on ordinary configs.
 struct GenerationPlan {
   std::vector<double> shares;                  // hoisted copy of config.arch_share
   std::array<int, kArchCount> pcores_by_arch{};  // hoisted MakeArchSpec(...).physical_cores

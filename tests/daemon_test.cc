@@ -386,16 +386,41 @@ TEST(CampaignManagerTest, CancelStopsACampaign) {
   // Saturate the single lane, then cancel a queued campaign: it must never run.
   const uint64_t running = manager.Submit(spec);
   const uint64_t queued = manager.Submit(spec);
-  EXPECT_TRUE(manager.Cancel(queued));
+  EXPECT_EQ(manager.Cancel(queued), CampaignState::kCancelled);
   EXPECT_EQ(manager.Wait(queued), CampaignState::kCancelled);
   EXPECT_EQ(manager.Result(queued), nullptr);
-  // Cancelling the running campaign stops it at a shard boundary (or it finished first;
-  // both are terminal, neither hangs).
-  EXPECT_TRUE(manager.Cancel(running));
-  const auto state = manager.Wait(running);
-  ASSERT_TRUE(state.has_value());
-  EXPECT_TRUE(*state == CampaignState::kCancelled || *state == CampaignState::kDone);
-  EXPECT_FALSE(manager.Cancel(999));  // unknown id
+  // Cancelling the running campaign stops it at a shard boundary. If it had finished
+  // first, the reply says so and the state stays; either way the reply is the state it
+  // ends in, and neither hangs.
+  const std::optional<CampaignState> reply = manager.Cancel(running);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(manager.Wait(running), *reply);
+  EXPECT_FALSE(manager.Cancel(999).has_value());  // unknown id
+}
+
+TEST(CampaignManagerTest, CancelOfAFinishedCampaignNamesItsStateAndKeepsTheResult) {
+  CampaignManager manager(1);
+  ASSERT_EQ(HandleRequestLine(manager, "submit processors=20000 seed=3").line, "ok id=1");
+  ASSERT_EQ(HandleRequestLine(manager, "wait 1").line, "ok state=done");
+  const std::string result = HandleRequestLine(manager, "result 1").payload;
+  ASSERT_FALSE(result.empty());
+  // Not `ok cancelled`: the campaign is done and stays done.
+  EXPECT_EQ(HandleRequestLine(manager, "cancel 1").line, "ok done id=1");
+  EXPECT_EQ(manager.GetStatus(1)->state, CampaignState::kDone);
+  EXPECT_EQ(HandleRequestLine(manager, "wait 1").line, "ok state=done");
+  EXPECT_EQ(HandleRequestLine(manager, "result 1").payload, result);
+  // A cancelled campaign (queued behind a long one on the single lane) answers the same
+  // way on a second cancel.
+  ASSERT_EQ(HandleRequestLine(manager, "submit processors=2000000 seed=3").line,
+            "ok id=2");
+  ASSERT_EQ(HandleRequestLine(manager, "submit processors=20000 seed=3").line, "ok id=3");
+  EXPECT_EQ(HandleRequestLine(manager, "cancel 3").line, "ok cancelled id=3");
+  EXPECT_EQ(HandleRequestLine(manager, "wait 3").line, "ok state=cancelled");
+  EXPECT_EQ(HandleRequestLine(manager, "cancel 3").line, "ok cancelled id=3");
+  EXPECT_TRUE(HandleRequestLine(manager, "result 3").line.rfind("err not-done", 0) == 0);
+  const std::optional<CampaignState> reply = manager.Cancel(2);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(manager.Wait(2), *reply);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,12 +492,12 @@ TEST(CampaignManagerTest, CancelStopsAScrubCampaignAtAnEpochBoundary) {
       spec, error))
       << error;
   const uint64_t id = manager.Submit(spec);
-  EXPECT_TRUE(manager.Cancel(id));
-  const auto state = manager.Wait(id);
-  ASSERT_TRUE(state.has_value());
-  // Cancelled at the boundary, or it won the race and finished; neither hangs.
-  EXPECT_TRUE(*state == CampaignState::kCancelled || *state == CampaignState::kDone);
-  if (*state == CampaignState::kCancelled) {
+  const std::optional<CampaignState> reply = manager.Cancel(id);
+  ASSERT_TRUE(reply.has_value());
+  // Cancelled at the boundary, or it had already finished and the reply said so; the
+  // campaign ends in the state the reply named, and neither hangs.
+  EXPECT_EQ(manager.Wait(id), *reply);
+  if (*reply == CampaignState::kCancelled) {
     EXPECT_EQ(manager.Result(id), nullptr);  // a cancelled run publishes no report
   }
 }

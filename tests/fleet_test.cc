@@ -12,15 +12,16 @@
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
+#include "tests/oracle/oracle.h"
 
 namespace sdc {
 namespace {
 
-// ---- Byte-identity helpers for the blocked-vs-reference generator contract ----------
+// ---- Golden fleet digest ----------------------------------------------------------
 //
-// "Identical fleet" means identical everything: packed columns, sparse faulty index,
-// arena ranges, every Defect field (doubles compared by bit pattern, not value), and the
-// merged tallies. The blocked generator (docs/performance.md) promises exactly this.
+// HashFleet is the FNV-1a digest GoldenFleetSnapshotHash pins. Two fleets are compared
+// with IdenticalFleets (tests/oracle/oracle.h) instead: it covers every Defect field,
+// including the ones this digest skips, and names the first mismatch.
 
 uint64_t Fnv1a(uint64_t hash, const void* data, size_t size) {
   const auto* bytes = static_cast<const uint8_t*>(data);
@@ -91,38 +92,14 @@ uint64_t HashFleet(const FleetPopulation& fleet) {
   return hash;
 }
 
-void ExpectFleetsIdentical(const FleetPopulation& a, const FleetPopulation& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.arch_bytes(), b.arch_bytes());
-  EXPECT_EQ(a.flag_bytes(), b.flag_bytes());
-  EXPECT_EQ(a.faulty_serials(), b.faulty_serials());
-  ASSERT_EQ(a.faulty_ranges().size(), b.faulty_ranges().size());
-  for (size_t i = 0; i < a.faulty_ranges().size(); ++i) {
-    EXPECT_EQ(a.faulty_ranges()[i].offset, b.faulty_ranges()[i].offset);
-    EXPECT_EQ(a.faulty_ranges()[i].count, b.faulty_ranges()[i].count);
-  }
-  ASSERT_EQ(a.defect_arena().size(), b.defect_arena().size());
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    EXPECT_EQ(a.CountByArch(arch), b.CountByArch(arch)) << ArchName(arch);
-  }
-  // Field-level defect comparison is what the hash summarizes; assert it directly too so
-  // a mismatch points at the defect, not at a digest.
-  for (size_t i = 0; i < a.defect_arena().size(); ++i) {
-    EXPECT_EQ(HashDefect(0xcbf29ce484222325ull, a.defect_arena()[i]),
-              HashDefect(0xcbf29ce484222325ull, b.defect_arena()[i]))
-        << "defect " << i;
-  }
-  EXPECT_EQ(HashFleet(a), HashFleet(b));
-}
-
 FleetPopulation GenerateVariant(uint64_t processors, uint64_t seed, bool reference,
                                 SimdLevel simd, int threads) {
   PopulationConfig config;
   config.processor_count = processors;
   config.seed = seed;
-  config.use_reference_generator = reference;
   EngineContext context(EngineOptions{.threads = threads, .simd = simd});
-  return FleetPopulation::Generate(config, context);
+  return reference ? ReferenceGenerate(config, context)
+                   : FleetPopulation::Generate(config, context);
 }
 
 // Shared mid-size fleet (200k parts) to keep the statistical tests fast but stable.
@@ -236,11 +213,11 @@ TEST_F(FleetTest, BlockedGeneratorMatchesReferenceAcrossThreadsAndSimd) {
     for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
       const FleetPopulation blocked =
           GenerateVariant(100000, 991, /*reference=*/false, simd, threads);
-      ExpectFleetsIdentical(reference, blocked);
+      EXPECT_EQ(IdenticalFleets(reference, blocked), "");
     }
     const FleetPopulation reference_mt =
         GenerateVariant(100000, 991, /*reference=*/true, SimdLevel::kAuto, threads);
-    ExpectFleetsIdentical(reference, reference_mt);
+    EXPECT_EQ(IdenticalFleets(reference, reference_mt), "");
   }
 }
 
@@ -258,12 +235,10 @@ TEST_F(FleetTest, DegenerateConfigsFallBackToReferenceBehavior) {
   one_arch.detected_rate = PopulationConfig().detected_rate;
   one_arch.arch_share = {};  // zero total: NextWeighted returns 0 without drawing
   for (const PopulationConfig& base : {zero_rate, all_faulty, one_arch}) {
-    PopulationConfig ref = base;
-    ref.use_reference_generator = true;
-    PopulationConfig blocked = base;
-    blocked.use_reference_generator = false;
-    ExpectFleetsIdentical(FleetPopulation::Generate(ref),
-                          FleetPopulation::Generate(blocked));
+    EngineContext context(EngineOptions{.threads = 2});
+    EXPECT_EQ(IdenticalFleets(ReferenceGenerate(base, context),
+                              FleetPopulation::Generate(base, context)),
+              "");
   }
   const FleetPopulation zero = FleetPopulation::Generate(zero_rate);
   EXPECT_EQ(zero.faulty_count(), 0u);
@@ -281,10 +256,8 @@ TEST_F(FleetTest, GoldenFleetSnapshotHash) {
   config.processor_count = 100000;
   const FleetPopulation fleet = FleetPopulation::Generate(config);
   EXPECT_EQ(HashFleet(fleet), 0xa03e3b0bb460cae3ull);
-  PopulationConfig reference_config = config;
-  reference_config.use_reference_generator = true;
-  EXPECT_EQ(HashFleet(FleetPopulation::Generate(reference_config)),
-            0xa03e3b0bb460cae3ull);
+  EngineContext context;
+  EXPECT_EQ(HashFleet(ReferenceGenerate(config, context)), 0xa03e3b0bb460cae3ull);
 }
 
 TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {

@@ -1,21 +1,24 @@
-// Equivalence suite for the memoized detection model (docs/performance.md): the default
-// cached screening path must be byte-identical -- every counter, every detection in
-// order, detection months compared bitwise -- to the retained pre-memoization reference
-// implementation (ScreeningConfig::use_reference_model) at several thread counts. Any
-// divergence means the memoization changed the model or the RNG draw order, both of
-// which break the determinism contract in docs/parallelism.md.
+// Equivalence suite for the memoized detection model (docs/performance.md): the
+// production screening path must be byte-identical -- every counter, every detection in
+// order, detection months and provenance compared bitwise -- to the pre-memoization
+// reference model (the ReferenceScreen test oracle, tests/oracle/oracle.h) at several
+// thread counts. Any divergence means the memoization changed the model or the RNG draw
+// order, both of which break the determinism contract in docs/parallelism.md.
 
-#include <cstring>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
+#include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
+#include "tests/oracle/oracle.h"
 
 namespace sdc {
 namespace {
@@ -38,35 +41,26 @@ class ScreeningModelTest : public ::testing::Test {
     suite_ = nullptr;
   }
 
-  static ScreeningStats RunModel(bool use_reference, int threads,
-                                 MetricsRegistry* metrics = nullptr) {
+  // The production (memoized) model.
+  static ScreeningStats RunCached(int threads, MetricsRegistry* metrics = nullptr) {
     ScreeningPipeline pipeline(suite_);
     ScreeningConfig config;
     config.threads = threads;
-    config.use_reference_model = use_reference;
     config.metrics = metrics;
     return pipeline.Run(*fleet_, config);
   }
 
-  static void ExpectIdentical(const ScreeningStats& cached, const ScreeningStats& reference) {
-    EXPECT_EQ(cached.tested, reference.tested);
-    EXPECT_EQ(cached.faulty, reference.faulty);
-    EXPECT_EQ(cached.detected_by_stage, reference.detected_by_stage);
-    EXPECT_EQ(cached.tested_by_arch, reference.tested_by_arch);
-    EXPECT_EQ(cached.detected_by_arch, reference.detected_by_arch);
-    ASSERT_EQ(cached.detections.size(), reference.detections.size());
-    for (size_t i = 0; i < cached.detections.size(); ++i) {
-      const ProcessorOutcome& c = cached.detections[i];
-      const ProcessorOutcome& r = reference.detections[i];
-      EXPECT_EQ(c.serial, r.serial) << "detection " << i;
-      EXPECT_EQ(c.arch_index, r.arch_index) << "detection " << i;
-      EXPECT_EQ(c.detected, r.detected) << "detection " << i;
-      EXPECT_EQ(c.stage, r.stage) << "detection " << i;
-      // Bitwise, not EXPECT_DOUBLE_EQ: the cached path must reproduce the reference's
-      // floating-point rounding exactly, not merely approximately.
-      EXPECT_EQ(std::memcmp(&c.month, &r.month, sizeof(double)), 0)
-          << "detection " << i << " month " << c.month << " vs " << r.month;
-    }
+  // The pre-memoization oracle on a pool of `threads` lanes.
+  static ScreeningStats RunReference(int threads) {
+    ScreeningPipeline pipeline(suite_);
+    EngineContext context(EngineOptions{.threads = threads});
+    return ReferenceScreen(pipeline, *fleet_, ScreeningConfig{}, context);
+  }
+
+  // Bitwise, not approximately: the cached path must reproduce the reference's
+  // floating-point rounding exactly.
+  static void ExpectIdentical(const ScreeningStats& a, const ScreeningStats& b) {
+    EXPECT_EQ(IdenticalStats(a, b), "");
   }
 
   static FleetPopulation* fleet_;
@@ -77,49 +71,88 @@ FleetPopulation* ScreeningModelTest::fleet_ = nullptr;
 TestSuite* ScreeningModelTest::suite_ = nullptr;
 
 TEST_F(ScreeningModelTest, CachedMatchesReferenceAtOneThread) {
-  ExpectIdentical(RunModel(false, 1), RunModel(true, 1));
+  ExpectIdentical(RunCached(1), RunReference(1));
 }
 
 TEST_F(ScreeningModelTest, CachedMatchesReferenceAtTwoThreads) {
-  ExpectIdentical(RunModel(false, 2), RunModel(true, 2));
+  ExpectIdentical(RunCached(2), RunReference(2));
 }
 
 TEST_F(ScreeningModelTest, CachedMatchesReferenceAtEightThreads) {
-  ExpectIdentical(RunModel(false, 8), RunModel(true, 8));
+  ExpectIdentical(RunCached(8), RunReference(8));
 }
 
 TEST_F(ScreeningModelTest, CachedIsThreadCountInvariant) {
   // The cached fast path skips clean processors outright; that must not perturb the
   // shard-order merge that makes stats thread-count invariant.
-  const ScreeningStats one = RunModel(false, 1);
-  ExpectIdentical(RunModel(false, 2), one);
-  ExpectIdentical(RunModel(false, 8), one);
+  const ScreeningStats one = RunCached(1);
+  ExpectIdentical(RunCached(2), one);
+  ExpectIdentical(RunCached(8), one);
   // And both models agree across thread counts, not just within one.
-  ExpectIdentical(one, RunModel(true, 8));
+  ExpectIdentical(one, RunReference(8));
 }
 
 TEST_F(ScreeningModelTest, MetricsSnapshotsIdenticalAcrossModels) {
-  // The observable metric stream (sans wall-clock timers) is part of the contract too.
-  const auto snapshot_json = [](bool use_reference, int threads) {
+  // The observable metric stream (sans wall-clock timers) is part of the contract too:
+  // thread-count invariant, and every counter equal to what the reference model's stats
+  // imply.
+  const auto snapshot = [](int threads) {
     MetricsRegistry registry;
-    (void)RunModel(use_reference, threads, &registry);
+    (void)RunCached(threads, &registry);
+    return registry.Snapshot();
+  };
+  const auto json = [](const MetricsSnapshot& metrics) {
     std::ostringstream out;
-    WriteMetricsJson(out, registry.Snapshot(), /*include_timers=*/false);
+    WriteMetricsJson(out, metrics, /*include_timers=*/false);
     return out.str();
   };
-  const std::string cached = snapshot_json(false, 1);
-  EXPECT_EQ(cached, snapshot_json(true, 1));
-  EXPECT_EQ(cached, snapshot_json(false, 8));
-  EXPECT_NE(cached.find("screening.tested"), std::string::npos);
+  const MetricsSnapshot cached = snapshot(1);
+  EXPECT_EQ(json(cached), json(snapshot(8)));
+  const ScreeningStats reference = RunReference(1);
+  EXPECT_EQ(cached.CounterOr("screening.tested"), reference.tested);
+  EXPECT_EQ(cached.CounterOr("screening.faulty"), reference.faulty);
+  EXPECT_EQ(cached.CounterOr("screening.detected"), reference.total_detected());
+  EXPECT_EQ(cached.CounterOr("screening.escaped"),
+            reference.faulty - reference.total_detected());
+  EXPECT_EQ(cached.CounterOr("screening.provenance.records"), reference.provenance.size());
+  for (int stage = 0; stage < kStageCount; ++stage) {
+    EXPECT_EQ(cached.CounterOr("screening.stage." + StageName(static_cast<TestStage>(stage)) +
+                               ".detected"),
+              reference.detected_by_stage[static_cast<size_t>(stage)]);
+  }
+  for (int arch = 0; arch < kArchCount; ++arch) {
+    EXPECT_EQ(cached.CounterOr("screening.arch." + ArchName(arch) + ".tested"),
+              reference.tested_by_arch[static_cast<size_t>(arch)]);
+    EXPECT_EQ(cached.CounterOr("screening.arch." + ArchName(arch) + ".detected"),
+              reference.detected_by_arch[static_cast<size_t>(arch)]);
+  }
+  EXPECT_GT(reference.total_detected(), 0u);
 }
 
 TEST_F(ScreeningModelTest, FastPathActuallyDetects) {
   // Guard against the equivalence holding vacuously (nothing detected at all).
-  const ScreeningStats stats = RunModel(false, 1);
+  const ScreeningStats stats = RunCached(1);
   EXPECT_EQ(stats.tested, kFleetSize);
   EXPECT_GT(stats.faulty, 0u);
   EXPECT_GT(stats.total_detected(), 0u);
   EXPECT_FALSE(stats.detections.empty());
+}
+
+TEST_F(ScreeningModelTest, IdenticalStatsNamesTheFirstMismatch) {
+  // The comparator must see provenance, bitwise: a one-ulp change in a record that the
+  // counters and detections cannot show is reported by field.
+  const ScreeningStats stats = RunCached(1);
+  ASSERT_FALSE(stats.provenance.empty());
+  ScreeningStats changed = stats;
+  changed.provenance.back().stage_temperature_celsius =
+      std::nextafter(changed.provenance.back().stage_temperature_celsius, 1e9);
+  const std::string mismatch = IdenticalStats(stats, changed);
+  EXPECT_EQ(mismatch.rfind("provenance[" + std::to_string(stats.provenance.size() - 1) +
+                               "].stage_temperature_celsius: ",
+                           0),
+            0u)
+      << mismatch;
+  EXPECT_EQ(IdenticalStats(stats, stats), "");
 }
 
 // ----- batched multi-scenario engine (ScreeningPipeline::RunBatch) ------------------
@@ -131,7 +164,7 @@ TEST_F(ScreeningModelTest, FastPathActuallyDetects) {
 
 // K scenarios with distinct seeds and cadences (the spread the bench uses too), so the
 // batch cannot pass by accidentally computing one scenario K times.
-ScenarioBatch MakeBatch(int k_count, int threads, bool use_reference) {
+ScenarioBatch MakeBatch(int k_count, int threads) {
   static constexpr double kPeriods[] = {3.0, 1.0, 2.0, 6.0};
   ScenarioBatch batch;
   batch.threads = threads;
@@ -139,7 +172,6 @@ ScenarioBatch MakeBatch(int k_count, int threads, bool use_reference) {
     ScreeningConfig config;
     config.seed = 77 + static_cast<uint64_t>(k);
     config.regular_period_months = kPeriods[k % 4];
-    config.use_reference_model = use_reference;
     batch.scenarios.push_back(config);
   }
   return batch;
@@ -147,10 +179,9 @@ ScenarioBatch MakeBatch(int k_count, int threads, bool use_reference) {
 
 class ScreeningBatchTest : public ScreeningModelTest {
  protected:
-  static void ExpectBatchMatchesIndependent(int k_count, int threads,
-                                            bool use_reference) {
+  static void ExpectBatchMatchesIndependent(int k_count, int threads) {
     ScreeningPipeline pipeline(suite_);
-    const ScenarioBatch batch = MakeBatch(k_count, threads, use_reference);
+    const ScenarioBatch batch = MakeBatch(k_count, threads);
     const std::vector<ScreeningStats> batched = pipeline.RunBatch(*fleet_, batch);
     ASSERT_EQ(batched.size(), batch.scenarios.size());
     for (int k = 0; k < k_count; ++k) {
@@ -163,37 +194,15 @@ class ScreeningBatchTest : public ScreeningModelTest {
 };
 
 TEST_F(ScreeningBatchTest, BatchedMatchesIndependentAtOneThread) {
-  ExpectBatchMatchesIndependent(8, 1, /*use_reference=*/false);
+  ExpectBatchMatchesIndependent(8, 1);
 }
 
 TEST_F(ScreeningBatchTest, BatchedMatchesIndependentAtTwoThreads) {
-  ExpectBatchMatchesIndependent(8, 2, /*use_reference=*/false);
+  ExpectBatchMatchesIndependent(8, 2);
 }
 
 TEST_F(ScreeningBatchTest, BatchedMatchesIndependentAtEightThreads) {
-  ExpectBatchMatchesIndependent(8, 8, /*use_reference=*/false);
-}
-
-TEST_F(ScreeningBatchTest, BatchedReferenceModelMatchesIndependent) {
-  // Reference-model scenarios take the per-scenario fallback inside the batch kernel;
-  // that path must be the same bits too. Small K: the reference model is slow.
-  ExpectBatchMatchesIndependent(2, 2, /*use_reference=*/true);
-}
-
-TEST_F(ScreeningBatchTest, MixedModelBatchMatchesIndependent) {
-  // Cached and reference scenarios in ONE batch: the cached slots ride the fused loop
-  // while the reference slot replays per scenario, and each must match its solo run.
-  ScreeningPipeline pipeline(suite_);
-  ScenarioBatch batch = MakeBatch(3, 2, /*use_reference=*/false);
-  batch.scenarios[1].use_reference_model = true;
-  const std::vector<ScreeningStats> batched = pipeline.RunBatch(*fleet_, batch);
-  ASSERT_EQ(batched.size(), 3u);
-  for (size_t k = 0; k < batch.scenarios.size(); ++k) {
-    ScreeningConfig independent = batch.scenarios[k];
-    independent.threads = 2;
-    SCOPED_TRACE("scenario " + std::to_string(k));
-    ExpectIdentical(batched[k], pipeline.Run(*fleet_, independent));
-  }
+  ExpectBatchMatchesIndependent(8, 8);
 }
 
 TEST_F(ScreeningBatchTest, DistinctStageParamsBatchMatchesIndependent) {
@@ -202,7 +211,7 @@ TEST_F(ScreeningBatchTest, DistinctStageParamsBatchMatchesIndependent) {
   // still match their solo runs bitwise. Three groups here: {0, 2} (default stages),
   // {1} (hotter re-install), {3} (weaker factory catch).
   ScreeningPipeline pipeline(suite_);
-  ScenarioBatch batch = MakeBatch(4, 2, /*use_reference=*/false);
+  ScenarioBatch batch = MakeBatch(4, 2);
   batch.scenarios[1].stages[2].temperature_celsius = 72.0;
   batch.scenarios[3].stages[0].catch_factor = 0.05;
   const std::vector<ScreeningStats> batched = pipeline.RunBatch(*fleet_, batch);
@@ -218,9 +227,9 @@ TEST_F(ScreeningBatchTest, DistinctStageParamsBatchMatchesIndependent) {
 TEST_F(ScreeningBatchTest, BatchIsThreadCountInvariant) {
   ScreeningPipeline pipeline(suite_);
   const std::vector<ScreeningStats> one =
-      pipeline.RunBatch(*fleet_, MakeBatch(4, 1, false));
+      pipeline.RunBatch(*fleet_, MakeBatch(4, 1));
   const std::vector<ScreeningStats> eight =
-      pipeline.RunBatch(*fleet_, MakeBatch(4, 8, false));
+      pipeline.RunBatch(*fleet_, MakeBatch(4, 8));
   ASSERT_EQ(one.size(), eight.size());
   for (size_t k = 0; k < one.size(); ++k) {
     SCOPED_TRACE("scenario " + std::to_string(k));
@@ -233,7 +242,7 @@ TEST_F(ScreeningBatchTest, ScenariosActuallyDiffer) {
   // seeds differ, so the detection sets must differ somewhere.
   ScreeningPipeline pipeline(suite_);
   const std::vector<ScreeningStats> batched =
-      pipeline.RunBatch(*fleet_, MakeBatch(4, 2, false));
+      pipeline.RunBatch(*fleet_, MakeBatch(4, 2));
   ASSERT_EQ(batched.size(), 4u);
   bool any_difference = false;
   for (size_t k = 1; k < batched.size(); ++k) {
@@ -263,7 +272,7 @@ TEST_F(ScreeningBatchTest, PerScenarioMetricsMatchIndependentRuns) {
   // Each scenario's metric sink must see exactly the deltas its independent run records
   // (sans wall-clock timers) -- not a sum over the batch.
   ScreeningPipeline pipeline(suite_);
-  ScenarioBatch batch = MakeBatch(3, 2, false);
+  ScenarioBatch batch = MakeBatch(3, 2);
   std::vector<MetricsRegistry> batch_registries(batch.scenarios.size());
   for (size_t k = 0; k < batch.scenarios.size(); ++k) {
     batch.scenarios[k].metrics = &batch_registries[k];

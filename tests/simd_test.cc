@@ -22,6 +22,7 @@
 #include "src/common/simd.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
+#include "tests/oracle/oracle.h"
 
 namespace sdc {
 namespace {
@@ -344,20 +345,7 @@ class SimdScreeningTest : public ::testing::Test {
   }
 
   static void ExpectIdentical(const ScreeningStats& a, const ScreeningStats& b) {
-    EXPECT_EQ(a.tested, b.tested);
-    EXPECT_EQ(a.faulty, b.faulty);
-    EXPECT_EQ(a.detected_by_stage, b.detected_by_stage);
-    EXPECT_EQ(a.tested_by_arch, b.tested_by_arch);
-    EXPECT_EQ(a.detected_by_arch, b.detected_by_arch);
-    ASSERT_EQ(a.detections.size(), b.detections.size());
-    for (size_t i = 0; i < a.detections.size(); ++i) {
-      EXPECT_EQ(a.detections[i].serial, b.detections[i].serial) << "detection " << i;
-      EXPECT_EQ(a.detections[i].stage, b.detections[i].stage) << "detection " << i;
-      EXPECT_EQ(std::memcmp(&a.detections[i].month, &b.detections[i].month,
-                            sizeof(double)),
-                0)
-          << "detection " << i;
-    }
+    EXPECT_EQ(IdenticalStats(a, b), "");
   }
 
   static TestSuite* suite_;

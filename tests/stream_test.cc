@@ -25,6 +25,7 @@
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/series.h"
+#include "tests/oracle/oracle.h"
 
 // Allocation probe for the fold-cost tests: while armed, every heap allocation of at
 // least kLargeAllocationBytes, on any thread, is counted. Replacing the global operator
@@ -84,23 +85,20 @@ class StreamEquivalenceTest : public ::testing::Test {
     return config;
   }
 
-  static ScreeningConfig MakeScreeningConfig(int threads, MetricsRegistry* metrics,
-                                             bool use_reference) {
+  static ScreeningConfig MakeScreeningConfig(int threads, MetricsRegistry* metrics) {
     ScreeningConfig config;
     config.threads = threads;
     config.metrics = metrics;
-    config.use_reference_model = use_reference;
     return config;
   }
 
   // The materialized baseline: build the fleet, then run each aggregation against it.
   static PassResults RunMaterialized(uint64_t processors, int threads,
-                                     MetricsRegistry* metrics = nullptr,
-                                     bool use_reference = false) {
+                                     MetricsRegistry* metrics = nullptr) {
     const PopulationConfig population = MakePopulationConfig(processors, threads, metrics);
     const FleetPopulation fleet = FleetPopulation::Generate(population);
     ScreeningPipeline pipeline(suite_);
-    const ScreeningConfig screening = MakeScreeningConfig(threads, metrics, use_reference);
+    const ScreeningConfig screening = MakeScreeningConfig(threads, metrics);
     PassResults results;
     results.stats = pipeline.Run(fleet, screening);
     results.capacity = SimulateCapacityRetention(fleet, results.stats, screening);
@@ -125,11 +123,10 @@ class StreamEquivalenceTest : public ::testing::Test {
 
   // The fused pass: all four aggregations ride one FleetShardStream drive.
   static PassResults RunStreaming(uint64_t processors, int threads,
-                                  MetricsRegistry* metrics = nullptr,
-                                  bool use_reference = false) {
+                                  MetricsRegistry* metrics = nullptr) {
     const PopulationConfig population = MakePopulationConfig(processors, threads, metrics);
     ScreeningPipeline pipeline(suite_);
-    const ScreeningConfig screening = MakeScreeningConfig(threads, metrics, use_reference);
+    const ScreeningConfig screening = MakeScreeningConfig(threads, metrics);
     FleetShardStream stream(population);
     StreamingScreen screen(&pipeline, screening);
     CapacityAccumulator capacity;
@@ -147,26 +144,11 @@ class StreamEquivalenceTest : public ::testing::Test {
     return results;
   }
 
+  // Bitwise, not approximately: the streaming path must reproduce the materialized
+  // floating-point rounding exactly, provenance included.
   static void ExpectIdenticalStats(const ScreeningStats& streaming,
                                    const ScreeningStats& materialized) {
-    EXPECT_EQ(streaming.tested, materialized.tested);
-    EXPECT_EQ(streaming.faulty, materialized.faulty);
-    EXPECT_EQ(streaming.detected_by_stage, materialized.detected_by_stage);
-    EXPECT_EQ(streaming.tested_by_arch, materialized.tested_by_arch);
-    EXPECT_EQ(streaming.detected_by_arch, materialized.detected_by_arch);
-    ASSERT_EQ(streaming.detections.size(), materialized.detections.size());
-    for (size_t i = 0; i < streaming.detections.size(); ++i) {
-      const ProcessorOutcome& s = streaming.detections[i];
-      const ProcessorOutcome& m = materialized.detections[i];
-      EXPECT_EQ(s.serial, m.serial) << "detection " << i;
-      EXPECT_EQ(s.arch_index, m.arch_index) << "detection " << i;
-      EXPECT_EQ(s.detected, m.detected) << "detection " << i;
-      EXPECT_EQ(s.stage, m.stage) << "detection " << i;
-      // Bitwise, not EXPECT_DOUBLE_EQ: the streaming path must reproduce the
-      // materialized floating-point rounding exactly, not merely approximately.
-      EXPECT_EQ(std::memcmp(&s.month, &m.month, sizeof(double)), 0)
-          << "detection " << i << " month " << s.month << " vs " << m.month;
-    }
+    EXPECT_EQ(IdenticalStats(streaming, materialized), "");
   }
 
   static void ExpectIdenticalCapacity(const CapacityReport& streaming,
@@ -274,14 +256,6 @@ TEST_F(StreamEquivalenceTest, MetricsSnapshotsIdenticalAcrossModes) {
   EXPECT_NE(materialized.find("screening.tested"), std::string::npos);
 }
 
-TEST_F(StreamEquivalenceTest, ReferenceModelStreamsIdenticallyToo) {
-  // The retained pre-memoization oracle must stream through the same shard views without
-  // perturbing a single draw. Smaller fleet: the reference model is deliberately slow.
-  constexpr uint64_t kSmall = 50000;
-  ExpectIdenticalResults(RunStreaming(kSmall, 2, nullptr, /*use_reference=*/true),
-                         RunMaterialized(kSmall, 2, nullptr, /*use_reference=*/true));
-}
-
 TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
   // A FleetMaterializer riding the same drive as other consumers rebuilds exactly the
   // fleet Generate produces (Generate itself is this consumer; this pins the multi-
@@ -291,22 +265,10 @@ TEST_F(StreamEquivalenceTest, MaterializerReproducesGenerate) {
   FleetPopulation rebuilt;
   FleetMaterializer materializer(&rebuilt);
   ScreeningPipeline pipeline(suite_);
-  StreamingScreen screen(&pipeline, MakeScreeningConfig(4, nullptr, false));
+  StreamingScreen screen(&pipeline, MakeScreeningConfig(4, nullptr));
   FleetShardStream stream(config);
   stream.Drive({&screen, &materializer});
-  EXPECT_EQ(rebuilt.arch_bytes(), expected.arch_bytes());
-  EXPECT_EQ(rebuilt.flag_bytes(), expected.flag_bytes());
-  EXPECT_EQ(rebuilt.faulty_serials(), expected.faulty_serials());
-  ASSERT_EQ(rebuilt.faulty_count(), expected.faulty_count());
-  for (size_t ordinal = 0; ordinal < rebuilt.faulty_count(); ++ordinal) {
-    ASSERT_EQ(rebuilt.FaultyDefects(ordinal).size(), expected.FaultyDefects(ordinal).size());
-    for (size_t d = 0; d < rebuilt.FaultyDefects(ordinal).size(); ++d) {
-      EXPECT_EQ(rebuilt.FaultyDefects(ordinal)[d].id, expected.FaultyDefects(ordinal)[d].id);
-    }
-  }
-  for (int arch = 0; arch < kArchCount; ++arch) {
-    EXPECT_EQ(rebuilt.CountByArch(arch), expected.CountByArch(arch));
-  }
+  EXPECT_EQ(IdenticalFleets(rebuilt, expected), "");
 }
 
 // ----- one driver: materialized slicing at shard edges ------------------------------
@@ -358,7 +320,7 @@ TEST_F(StreamEquivalenceTest, RunRunBatchAndStreamAgreeAtShardEdges) {
       for (double& rate : population.detected_rate) {
         rate *= 100.0;
       }
-      const ScreeningConfig first = MakeScreeningConfig(threads, nullptr, false);
+      const ScreeningConfig first = MakeScreeningConfig(threads, nullptr);
 
       const FleetPopulation fleet = FleetPopulation::Generate(population);
       ScreenSinks run_sinks;
@@ -582,7 +544,7 @@ TEST_F(StreamBatchTest, ShardFoldsAllocateEachMergedVectorOnce) {
       MakePopulationConfig(kFoldFleetSize, kThreads, nullptr);
   const FleetPopulation fleet = FleetPopulation::Generate(population);
   ScreeningPipeline pipeline(suite_);
-  const ScreeningConfig single = MakeScreeningConfig(kThreads, nullptr, false);
+  const ScreeningConfig single = MakeScreeningConfig(kThreads, nullptr);
   const ScenarioBatch batch = MakeBatch(kScenarios, kThreads);
 
   // Materialized Run: the merged detections and provenance, plus StreamingScreen's one

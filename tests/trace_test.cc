@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/context.h"
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
 #include "src/fleet/pipeline.h"
@@ -18,6 +19,7 @@
 #include "src/report/exporters.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
+#include "tests/oracle/oracle.h"
 
 namespace sdc {
 namespace {
@@ -82,8 +84,7 @@ class TraceFleetTest : public ::testing::Test {
 
   // Materialized generate+screen with a recorder attached.
   static ScreeningStats RunMaterialized(int threads, TraceRecorder* recorder,
-                                        MetricsRegistry* metrics = nullptr,
-                                        bool reference_model = false) {
+                                        MetricsRegistry* metrics = nullptr) {
     PopulationConfig population;
     population.processor_count = kFleetSize;
     population.threads = threads;
@@ -95,7 +96,6 @@ class TraceFleetTest : public ::testing::Test {
     screening.threads = threads;
     screening.trace = recorder;
     screening.metrics = metrics;
-    screening.use_reference_model = reference_model;
     return pipeline.Run(fleet, screening);
   }
 
@@ -178,22 +178,17 @@ TEST_F(TraceFleetTest, EveryDetectionCarriesConsistentProvenance) {
 }
 
 TEST_F(TraceFleetTest, ReferenceModelEmitsIdenticalProvenance) {
-  TraceRecorder memoized_recorder;
-  TraceRecorder reference_recorder;
-  const ScreeningStats memoized = RunMaterialized(2, &memoized_recorder);
-  const ScreeningStats reference =
-      RunMaterialized(2, &reference_recorder, nullptr, /*reference_model=*/true);
-  ASSERT_EQ(memoized.provenance.size(), reference.provenance.size());
-  for (size_t i = 0; i < memoized.provenance.size(); ++i) {
-    EXPECT_EQ(memoized.provenance[i].serial, reference.provenance[i].serial);
-    EXPECT_EQ(memoized.provenance[i].defect_id, reference.provenance[i].defect_id);
-    EXPECT_EQ(memoized.provenance[i].defect_count, reference.provenance[i].defect_count);
-    EXPECT_EQ(memoized.provenance[i].stage, reference.provenance[i].stage);
-    EXPECT_DOUBLE_EQ(memoized.provenance[i].onset_months,
-                     reference.provenance[i].onset_months);
-    EXPECT_DOUBLE_EQ(memoized.provenance[i].min_trigger_celsius,
-                     reference.provenance[i].min_trigger_celsius);
-  }
+  TraceRecorder recorder;
+  const ScreeningStats memoized = RunMaterialized(2, &recorder);
+  PopulationConfig population;
+  population.processor_count = kFleetSize;
+  EngineContext context(EngineOptions{.threads = 2});
+  ScreeningPipeline pipeline(suite_);
+  const ScreeningStats reference = ReferenceScreen(
+      pipeline, FleetPopulation::Generate(population, context), ScreeningConfig{}, context);
+  ASSERT_GT(memoized.provenance.size(), 0u);
+  // Every provenance field, shard stamps included, compared bitwise with the stats.
+  EXPECT_EQ(IdenticalStats(memoized, reference), "");
 }
 
 TEST_F(TraceFleetTest, DetectionInstantsMatchProvenanceCount) {
