@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harnesses in bench/. Each binary regenerates one of the
 // paper's tables or figures and prints the paper's reported values next to the measured
 // ones, so the reproduction can be eyeballed row by row. The JSON micro benches share the
-// wall-clock timers at the end.
+// wall-clock timers and the median/quartile helpers at the end.
 
 #ifndef SDC_BENCH_BENCH_UTIL_H_
 #define SDC_BENCH_BENCH_UTIL_H_
@@ -12,6 +12,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/fault/machine.h"
 #include "src/toolchain/framework.h"
@@ -103,6 +104,48 @@ inline double BestWallSeconds(int repeats, const std::function<void()>& fn) {
     best = std::min(best, WallSeconds(fn));
   }
   return best;
+}
+
+// Median and quartiles of a sample: the elements at ranks n/4, n/2 and 3n/4 of the
+// sorted sample (which is reordered).
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+inline Quartiles QuartilesOf(std::vector<double>& sample) {
+  if (sample.empty()) {
+    return {};
+  }
+  std::sort(sample.begin(), sample.end());
+  const size_t n = sample.size();
+  return {sample[n / 4], sample[n / 2], sample[3 * n / 4]};
+}
+
+// Wall-time quartiles over `rounds` calls of `fn`: the median is the figure a row reports,
+// and q3 - q1 says how far the host let it wander.
+inline Quartiles WallQuartiles(int rounds, const std::function<void()>& fn) {
+  std::vector<double> walls;
+  walls.reserve(static_cast<size_t>(rounds));
+  for (int i = 0; i < rounds; ++i) {
+    walls.push_back(WallSeconds(fn));
+  }
+  return QuartilesOf(walls);
+}
+
+// Median over `rounds` rounds of wall(second) / wall(first), the two run back to back in
+// each round. Pairing puts a burst of host noise on both sides of a round's ratio, and the
+// median drops the rounds a burst splits.
+inline double MedianPairedRatio(const std::function<void()>& first,
+                                const std::function<void()>& second, int rounds = 100) {
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<size_t>(rounds));
+  for (int i = 0; i < rounds; ++i) {
+    const double first_wall = WallSeconds(first);
+    ratios.push_back(WallSeconds(second) / first_wall);
+  }
+  return QuartilesOf(ratios).median;
 }
 
 }  // namespace sdc

@@ -69,26 +69,6 @@
 namespace sdc {
 namespace {
 
-// Rounds behind each summary ratio. A ratio bounded within a few percent (the series
-// tax: 2% at fleet scale) of two walls of a millisecond or less needs more samples than
-// a smoke run's best-of-2: the timings' own spread is wider than the bound.
-constexpr int kRatioRounds = 100;
-
-// Median over kRatioRounds rounds of wall(second) / wall(first), the two run back to back
-// in each round. Pairing puts a burst of host noise on both sides of a round's ratio, and
-// the median drops the rounds a burst splits.
-double MedianPairedRatio(const std::function<void()>& first,
-                         const std::function<void()>& second) {
-  std::vector<double> ratios;
-  ratios.reserve(kRatioRounds);
-  for (int i = 0; i < kRatioRounds; ++i) {
-    const double first_wall = WallSeconds(first);
-    ratios.push_back(WallSeconds(second) / first_wall);
-  }
-  std::nth_element(ratios.begin(), ratios.begin() + kRatioRounds / 2, ratios.end());
-  return ratios[kRatioRounds / 2];
-}
-
 void EmitJson(const char* phase, const char* model, int threads, double wall_seconds,
               uint64_t processors) {
   const double ns_per_processor = wall_seconds * 1e9 / static_cast<double>(processors);

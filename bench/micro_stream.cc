@@ -15,10 +15,12 @@
 // materialized one-thread run (IdenticalStats: counters, detections and provenance,
 // doubles compared bitwise), prints the first mismatch and exits non-zero on divergence;
 // the closing "summary" line reports the streaming/materialized ns-per-processor ratio at
-// one thread (the acceptance bound is <= 1.2).
+// one thread (the acceptance bound is <= 1.2). Each row's wall_seconds and
+// ns_per_processor are medians over the rounds, with the quartiles beside them
+// (wall_q1_seconds / wall_q3_seconds), so a t1 ns/processor figure comes with its spread.
 //
-// Usage: micro_stream [processor_count] [repeats]
-// Defaults: 1,000,000 processors, best-of-5. CI smoke runs use a small count.
+// Usage: micro_stream [processor_count] [rounds]
+// Defaults: 1,000,000 processors, 21 rounds. CI smoke runs use a small count.
 
 #include <cstdint>
 #include <cstdio>
@@ -37,11 +39,11 @@ namespace {
 
 int Main(int argc, char** argv) {
   const MicroArgs args = ParseMicroArgs(
-      argc, argv, "usage: micro_stream [processor_count] [repeats]", 1'000'000, 5);
+      argc, argv, "usage: micro_stream [processor_count] [rounds]", 1'000'000, 21);
   const uint64_t processors = args.count;
-  const int repeats = args.repeats;
-  std::printf("# micro_stream: %llu processors, best of %d\n",
-              static_cast<unsigned long long>(processors), repeats);
+  const int rounds = args.repeats;
+  std::printf("# micro_stream: %llu processors, median and quartiles of %d rounds\n",
+              static_cast<unsigned long long>(processors), rounds);
 
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
@@ -77,15 +79,17 @@ int Main(int argc, char** argv) {
     deterministic &= NoMismatch(IdenticalStats(
         golden, pipeline.Run(FleetPopulation::Generate(population_config),
                              screening_config)));
-    const double materialized_wall = BestWallSeconds(repeats, [&] {
+    const Quartiles materialized = WallQuartiles(rounds, [&] {
       const FleetPopulation fleet = FleetPopulation::Generate(population_config);
       (void)pipeline.Run(fleet, screening_config);
     });
     std::printf("{\"bench\": \"generate_screen\", \"mode\": \"materialized\", "
                 "\"threads\": %d, \"processors\": %llu, \"wall_seconds\": %.6f, "
+                "\"wall_q1_seconds\": %.6f, \"wall_q3_seconds\": %.6f, "
                 "\"ns_per_processor\": %.2f, \"fleet_bytes\": %llu}\n",
-                threads, static_cast<unsigned long long>(processors), materialized_wall,
-                materialized_wall * 1e9 / static_cast<double>(processors),
+                threads, static_cast<unsigned long long>(processors), materialized.median,
+                materialized.q1, materialized.q3,
+                materialized.median * 1e9 / static_cast<double>(processors),
                 static_cast<unsigned long long>(materialized_bytes));
     std::fflush(stdout);
 
@@ -100,24 +104,26 @@ int Main(int argc, char** argv) {
       peak_scratch = report.peak_scratch_bytes;
       deterministic &= NoMismatch(IdenticalStats(golden, screen.TakeStats()));
     }
-    const double streaming_wall = BestWallSeconds(repeats, [&] {
+    const Quartiles streaming = WallQuartiles(rounds, [&] {
       StreamingScreen screen(&pipeline, screening_config);
       (void)stream.Drive({&screen}, context);
       (void)screen.TakeStats();
     });
     std::printf("{\"bench\": \"generate_screen\", \"mode\": \"streaming\", "
                 "\"threads\": %d, \"processors\": %llu, \"wall_seconds\": %.6f, "
+                "\"wall_q1_seconds\": %.6f, \"wall_q3_seconds\": %.6f, "
                 "\"ns_per_processor\": %.2f, \"peak_scratch_bytes\": %llu, "
                 "\"fleet_bytes\": %llu}\n",
-                threads, static_cast<unsigned long long>(processors), streaming_wall,
-                streaming_wall * 1e9 / static_cast<double>(processors),
+                threads, static_cast<unsigned long long>(processors), streaming.median,
+                streaming.q1, streaming.q3,
+                streaming.median * 1e9 / static_cast<double>(processors),
                 static_cast<unsigned long long>(peak_scratch),
                 static_cast<unsigned long long>(materialized_bytes));
     std::fflush(stdout);
 
     if (threads == 1) {
-      materialized_t1 = materialized_wall;
-      streaming_t1 = streaming_wall;
+      materialized_t1 = materialized.median;
+      streaming_t1 = streaming.median;
     }
   }
 

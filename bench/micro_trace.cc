@@ -8,19 +8,22 @@
 //   enabled  -- a TraceRecorder is attached; per-shard deltas record generate.shard and
 //               screen.subshard spans plus one detection instant (with provenance args)
 //               per detection, merged in shard order.
-// each at 1/2/8 worker threads. The closing "summary" line reports the enabled/disabled
-// wall-time ratio at one thread; the binary asserts the tracing-enabled run stays within
-// 5% of the disabled run (the zero-cost-when-detached contract's measurable half) and
-// that the enabled run recorded a nonempty sim timeline whose detection instants match
-// the screening stats, exiting non-zero otherwise.
+// each at 1/2/8 worker threads; each row's wall_seconds is the median of the rounds. The
+// closing "summary" line reports the enabled/disabled wall-time ratio at one thread as
+// the median over kRatioRounds paired rounds (MedianPairedRatio, bench/bench_util.h);
+// the binary asserts the tracing-enabled run stays within 5% of the disabled run (the
+// zero-cost-when-detached contract's measurable half) and that the enabled run recorded
+// a nonempty sim timeline whose detection instants match the screening stats, exiting
+// non-zero otherwise. Every recorder is built before and destroyed after the timed
+// passes, so the enabled arm pays for recording events and nothing else.
 //
-// Usage: micro_trace [processor_count] [repeats]
-// Defaults: 1,000,000 processors, best-of-5.
+// Usage: micro_trace [processor_count] [rounds]
+// Defaults: 1,000,000 processors, 5 rounds per row.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/micro_args.h"
@@ -34,19 +37,35 @@ namespace sdc {
 namespace {
 
 constexpr double kMaxEnabledOverhead = 1.05;
+constexpr int kRatioRounds = 100;
+
+// `count` fresh recorders, handed out one per timed pass by Next().
+class RecorderPool {
+ public:
+  explicit RecorderPool(int count) {
+    for (int i = 0; i < count; ++i) {
+      recorders_.push_back(std::make_unique<TraceRecorder>());
+    }
+  }
+  TraceRecorder* Next() { return recorders_.at(next_++).get(); }
+
+ private:
+  std::vector<std::unique_ptr<TraceRecorder>> recorders_;
+  size_t next_ = 0;
+};
 
 int Main(int argc, char** argv) {
   const MicroArgs args = ParseMicroArgs(
-      argc, argv, "usage: micro_trace [processor_count] [repeats]", 1'000'000, 5);
+      argc, argv, "usage: micro_trace [processor_count] [rounds]", 1'000'000, 5);
   const uint64_t processors = args.count;
-  const int repeats = args.repeats;
-  std::printf("# micro_trace: %llu processors, best of %d\n",
-              static_cast<unsigned long long>(processors), repeats);
+  const int rounds = args.repeats;
+  std::printf("# micro_trace: %llu processors, median of %d rounds per row, t1 ratio "
+              "median of %d paired rounds\n",
+              static_cast<unsigned long long>(processors), rounds, kRatioRounds);
 
   const TestSuite suite = TestSuite::BuildFull();
   ScreeningPipeline pipeline(&suite);
-  double disabled_t1 = 0.0;
-  double enabled_t1 = 0.0;
+  double ratio = 0.0;
   bool consistent = true;
 
   for (int threads : {1, 2, 8}) {
@@ -83,19 +102,19 @@ int Main(int argc, char** argv) {
       consistent &= instants == detections && detections == stats.provenance.size();
     }
 
-    // Interleave the two configurations repeat by repeat so scheduler noise and clock
-    // drift (this is often a single-hardware-thread host) hit both arms equally; the
-    // reported figure is best-of-repeats per arm.
-    double disabled_wall = 1e300;
-    double enabled_wall = 1e300;
-    for (int i = 0; i < repeats; ++i) {
-      disabled_wall =
-          std::min(disabled_wall, WallSeconds([&] { (void)run_once(nullptr); }));
-      enabled_wall = std::min(enabled_wall, WallSeconds([&] {
-                                TraceRecorder recorder;
-                                (void)run_once(&recorder);
-                              }));
+    // Interleave the two configurations round by round so scheduler noise and clock
+    // drift hit both arms equally; each row reports its arm's median.
+    std::vector<double> disabled_walls;
+    std::vector<double> enabled_walls;
+    {
+      RecorderPool recorders(rounds);
+      for (int i = 0; i < rounds; ++i) {
+        disabled_walls.push_back(WallSeconds([&] { (void)run_once(nullptr); }));
+        enabled_walls.push_back(WallSeconds([&] { (void)run_once(recorders.Next()); }));
+      }
     }
+    const double disabled_wall = QuartilesOf(disabled_walls).median;
+    const double enabled_wall = QuartilesOf(enabled_walls).median;
     std::printf("{\"bench\": \"generate_screen\", \"trace\": \"disabled\", "
                 "\"threads\": %d, \"processors\": %llu, \"wall_seconds\": %.6f, "
                 "\"ns_per_processor\": %.2f}\n",
@@ -114,12 +133,12 @@ int Main(int argc, char** argv) {
     consistent &= sim_events > 0;
 
     if (threads == 1) {
-      disabled_t1 = disabled_wall;
-      enabled_t1 = enabled_wall;
+      RecorderPool recorders(kRatioRounds);
+      ratio = MedianPairedRatio([&] { (void)run_once(nullptr); },
+                                [&] { (void)run_once(recorders.Next()); }, kRatioRounds);
     }
   }
 
-  const double ratio = disabled_t1 > 0.0 ? enabled_t1 / disabled_t1 : 0.0;
   std::printf("{\"bench\": \"summary\", \"enabled_vs_disabled_t1\": %.3f, "
               "\"overhead_bound\": %.2f, \"consistent\": %s}\n",
               ratio, kMaxEnabledOverhead, consistent ? "true" : "false");

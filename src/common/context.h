@@ -51,8 +51,8 @@ class TraceRecorder;
 struct EngineOptions {
   // Worker lanes: 0 = hardware concurrency, 1 = serial on the calling thread.
   int threads = 0;
-  // Vector level for the screening clean path and the blocked generator; kAuto picks the
-  // best the host supports.
+  // Vector level for the screening clean path and the fleet generator's lane kernel;
+  // kAuto picks the best the host supports.
   SimdLevel simd = SimdLevel::kAuto;
   // Consult SDC_THREADS / SDC_SIMD (once, at construction). The sdcd daemon sets this
   // false so per-campaign lane budgets cannot be overridden by the daemon's environment.

@@ -43,47 +43,14 @@ uint64_t Rng::Next() {
   return result;
 }
 
-void Rng::FillBlock(std::span<uint64_t> out) {
-  // The state lives in locals for the loop so the compiler keeps it in registers; the
-  // update is Next()'s, verbatim.
-  uint64_t s0 = state_[0];
-  uint64_t s1 = state_[1];
-  uint64_t s2 = state_[2];
-  uint64_t s3 = state_[3];
-  for (uint64_t& value : out) {
-    value = Rotl(s1 * 5, 7) * 9;
-    const uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = Rotl(s3, 45);
-  }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
+Rng::StateWords Rng::State() const {
+  return {state_[0], state_[1], state_[2], state_[3]};
 }
 
-void Rng::Skip(uint64_t count) {
-  uint64_t s0 = state_[0];
-  uint64_t s1 = state_[1];
-  uint64_t s2 = state_[2];
-  uint64_t s3 = state_[3];
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = Rotl(s3, 45);
+void Rng::SetState(const StateWords& words) {
+  for (size_t i = 0; i < words.size(); ++i) {
+    state_[i] = words[i];
   }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
 }
 
 double Rng::NextDouble() {

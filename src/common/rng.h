@@ -9,6 +9,7 @@
 #ifndef SDC_SRC_COMMON_RNG_H_
 #define SDC_SRC_COMMON_RNG_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -31,16 +32,14 @@ class Rng {
   // Returns the next raw 64-bit output.
   uint64_t Next();
 
-  // Fills `out` with out.size() consecutive raw outputs -- bit-for-bit the sequence that
-  // many Next() calls would return, advancing the state identically. The Gaussian cache
-  // is untouched (Next() never reads or writes it), which is what lets the blocked fleet
-  // generator bulk-fill uniforms between faulty parts without perturbing a Box-Muller
-  // partner cached by an earlier defect draw (docs/performance.md).
-  void FillBlock(std::span<uint64_t> out);
-
-  // Discards `count` raw outputs; equivalent to (but faster than) calling Next() that
-  // many times. Used to replay a copied Rng forward to a known draw position.
-  void Skip(uint64_t count);
+  // The four xoshiro256** state words. A kernel that steps this stream outside the class
+  // -- the fleet generator's lane kernel, GenerateClassifyLanes in src/common/simd.h --
+  // takes them with State and hands them back with SetState; Next() then continues
+  // exactly where the kernel stopped. Neither touches the Gaussian cache, so a
+  // Box-Muller partner cached before the kernel ran is still there after.
+  using StateWords = std::array<uint64_t, 4>;
+  StateWords State() const;
+  void SetState(const StateWords& words);
 
   // Uniform double in [0, 1).
   double NextDouble();

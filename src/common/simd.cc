@@ -1,5 +1,6 @@
 #include "src/common/simd.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -118,65 +119,92 @@ uint64_t CountEqualNeon(const uint8_t* data, size_t size, uint8_t value) {
 
 #endif  // SDC_SIMD_NEON && !SDC_FORCE_SCALAR
 
-// Scalar reference for ClassifyDrawPairs, shared as the vector paths' tail handler:
-// classifies pairs [begin, end), ORing faulty bits at their absolute positions (the
-// caller zeroes the words). The CDF walk is a fixed-trip branch-free count, so the only
-// data-dependent branch left is the rare faulty hit itself.
-size_t ClassifyRangeScalar(const uint64_t* draws, size_t begin, size_t end,
-                           const DrawClassifyTables& tables, uint8_t* class_out,
-                           uint64_t* faulty_bits) {
+inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// Rng::Next() of stream `lane` on word-major state, verbatim.
+inline uint64_t NextOfLane(uint64_t (&s)[4][kGenerateLanes], int lane) {
+  const uint64_t result = Rotl(s[1][lane] * 5, 7) * 9;
+  const uint64_t t = s[1][lane] << 17;
+  s[2][lane] ^= s[0][lane];
+  s[3][lane] ^= s[1][lane];
+  s[1][lane] ^= s[2][lane];
+  s[0][lane] ^= s[3][lane];
+  s[2][lane] ^= t;
+  s[3][lane] = Rotl(s[3][lane], 45);
+  return result;
+}
+
+// Portable body of GenerateClassifyLanes: the lanes' four independent chains interleave
+// step by step, which is what the scalar pipeline overlaps. The CDF walk is a fixed-trip
+// branch-free count, so the only data-dependent branch is the rare fault candidate.
+size_t GenerateClassifyLanesScalar(XoshiroLanes& lanes, unsigned active, size_t begin,
+                                   size_t end, const DrawClassifyTables& tables,
+                                   uint8_t* const class_out[kGenerateLanes],
+                                   unsigned* faulty_lanes) {
+  uint64_t s[4][kGenerateLanes];
+  std::memcpy(s, lanes.words, sizeof(s));
   const int bounds = tables.class_count - 1;
-  size_t faulty = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const uint64_t a = draws[2 * i] >> 11;
-    unsigned cls = 0;
-    for (int j = 0; j < bounds; ++j) {
-      cls += tables.cdf_bounds_u53[j] <= a ? 1u : 0u;
-    }
-    class_out[i] = static_cast<uint8_t>(cls);
-    const uint64_t f = draws[2 * i + 1] >> 11;
-    if (f < tables.fault_thresholds_u53[cls]) {
-      faulty_bits[i >> 6] |= uint64_t{1} << (i & 63);
-      ++faulty;
-    }
-  }
-  return faulty;
-}
-
-#if (SDC_SIMD_X86 || SDC_SIMD_NEON) && !defined(SDC_FORCE_SCALAR)
-
-// The exact fault rule for the quick reject's candidate lanes of one vector: bit l of
-// `lanes` marks pair first + l (its class already in class_out), and the result keeps the
-// lanes whose fault draw is below their own class's threshold -- ClassifyRangeScalar's
-// test, lane by lane.
-unsigned FaultyLanes(const uint64_t* draws, size_t first, unsigned lanes,
-                     const DrawClassifyTables& tables, const uint8_t* class_out) {
   unsigned faulty = 0;
-  for (; lanes != 0; lanes &= lanes - 1) {
-    const auto lane = static_cast<unsigned>(__builtin_ctz(lanes));
-    const size_t i = first + lane;
-    if ((draws[2 * i + 1] >> 11) < tables.fault_thresholds_u53[class_out[i]]) {
-      faulty |= 1u << lane;
+  size_t step = begin;
+  for (; step < end && faulty == 0; ++step) {
+    for (int lane = 0; lane < kGenerateLanes; ++lane) {
+      const uint64_t a = NextOfLane(s, lane) >> 11;
+      const uint64_t f = NextOfLane(s, lane) >> 11;
+      if ((active >> lane & 1u) == 0) {
+        continue;
+      }
+      unsigned cls = 0;
+      for (int j = 0; j < bounds; ++j) {
+        cls += tables.cdf_bounds_u53[j] <= a ? 1u : 0u;
+      }
+      class_out[lane][step] = static_cast<uint8_t>(cls);
+      if (f < tables.fault_threshold_max_u53 && f < tables.fault_thresholds_u53[cls]) {
+        faulty |= 1u << lane;
+      }
     }
   }
-  return faulty;
+  std::memcpy(lanes.words, s, sizeof(s));
+  *faulty_lanes = faulty;
+  return step;
 }
-
-#endif  // (SDC_SIMD_X86 || SDC_SIMD_NEON) && !SDC_FORCE_SCALAR
 
 #if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
 
-// Four pairs per iteration: deinterleave the (arch, fault) draw columns and shift both to
-// u53 space; one compare and one subtract per CDF boundary accumulate the class. All
-// values are < 2^54 with the sign bit clear, so the signed cmpgt is an unsigned compare
-// here; ">= bound" is "cmpgt(bound - 1)", exact even for bound == 0 (a >= 0 always holds,
-// and 0 - 1 wraps to -1, which cmpgt also always exceeds). The fault test is a single
-// compare against fault_threshold_max_u53: in a fleet that is almost all clean, nearly
-// every vector has no lane below it, so the per-class threshold is looked up only for
-// the rare candidate lanes (FaultyLanes).
-__attribute__((target("avx2"))) size_t ClassifyDrawPairsAvx2(
-    const uint64_t* draws, size_t count, const DrawClassifyTables& tables,
-    uint8_t* class_out, uint64_t* faulty_bits) {
+// Rng::Next() on all four lanes. AVX2 has no 64-bit multiply, so x * 5 and x * 9 are
+// shift-adds (exact mod 2^64) and the rotates are shift/or pairs.
+__attribute__((target("avx2"))) inline __m256i NextLanesAvx2(__m256i& s0, __m256i& s1,
+                                                             __m256i& s2, __m256i& s3) {
+  const __m256i times5 = _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2));
+  const __m256i rotated =
+      _mm256_or_si256(_mm256_slli_epi64(times5, 7), _mm256_srli_epi64(times5, 57));
+  const __m256i result = _mm256_add_epi64(rotated, _mm256_slli_epi64(rotated, 3));
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = _mm256_or_si256(_mm256_slli_epi64(s3, 45), _mm256_srli_epi64(s3, 19));
+  return result;
+}
+
+// One step per iteration for all four lanes: two draws, a shift to u53 space, and one
+// compare and one subtract per CDF boundary to accumulate the class. All values are
+// < 2^54 with the sign bit clear, so the signed cmpgt is an unsigned compare here;
+// ">= bound" is "cmpgt(bound - 1)", exact even for bound == 0 (a >= 0 always holds, and
+// 0 - 1 wraps to -1, which cmpgt also always exceeds). Each lane's class bytes collect in
+// its 64-bit lane of `packed` and go out 8 steps per store. The fault test is a single
+// compare against fault_threshold_max_u53: in a fleet that is almost all clean nearly
+// every step has no lane below it, so the per-class threshold is looked up only for the
+// rare candidate lanes.
+__attribute__((target("avx2"))) size_t GenerateClassifyLanesAvx2(
+    XoshiroLanes& lanes, unsigned active, size_t begin, size_t end,
+    const DrawClassifyTables& tables, uint8_t* const class_out[kGenerateLanes],
+    unsigned* faulty_lanes) {
+  __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[0]));
+  __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[1]));
+  __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[2]));
+  __m256i s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[3]));
   const int bounds = tables.class_count - 1;
   __m256i bound_m1[kMaxClassifyClasses - 1];
   for (int j = 0; j < bounds; ++j) {
@@ -184,81 +212,63 @@ __attribute__((target("avx2"))) size_t ClassifyDrawPairsAvx2(
   }
   const __m256i max_threshold =
       _mm256_set1_epi64x(static_cast<long long>(tables.fault_threshold_max_u53));
-  const __m128i pick_lane_bytes = _mm_setr_epi8(0, 8, -1, -1, -1, -1, -1, -1,
-                                                -1, -1, -1, -1, -1, -1, -1, -1);
-  size_t faulty = 0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(draws + 2 * i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(draws + 2 * i + 4));
-    const __m256i lo = _mm256_unpacklo_epi64(v0, v1);  // a0 a2 a1 a3
-    const __m256i hi = _mm256_unpackhi_epi64(v0, v1);  // f0 f2 f1 f3
-    const __m256i a = _mm256_srli_epi64(
-        _mm256_permute4x64_epi64(lo, _MM_SHUFFLE(3, 1, 2, 0)), 11);
-    const __m256i f = _mm256_srli_epi64(
-        _mm256_permute4x64_epi64(hi, _MM_SHUFFLE(3, 1, 2, 0)), 11);
-    __m256i cls = _mm256_setzero_si256();
-    for (int j = 0; j < bounds; ++j) {
-      cls = _mm256_sub_epi64(cls, _mm256_cmpgt_epi64(a, bound_m1[j]));
+  unsigned faulty = 0;
+  size_t step = begin;
+  while (step < end && faulty == 0) {
+    const size_t chunk = std::min<size_t>(8, end - step);
+    __m256i packed = _mm256_setzero_si256();
+    size_t done = 0;
+    while (done < chunk) {
+      const __m256i a = _mm256_srli_epi64(NextLanesAvx2(s0, s1, s2, s3), 11);
+      const __m256i f = _mm256_srli_epi64(NextLanesAvx2(s0, s1, s2, s3), 11);
+      __m256i cls = _mm256_setzero_si256();
+      for (int j = 0; j < bounds; ++j) {
+        cls = _mm256_sub_epi64(cls, _mm256_cmpgt_epi64(a, bound_m1[j]));
+      }
+      packed = _mm256_or_si256(
+          packed, _mm256_sll_epi64(cls, _mm_cvtsi64_si128(static_cast<long long>(8 * done))));
+      ++done;
+      const unsigned candidates =
+          static_cast<unsigned>(_mm256_movemask_pd(
+              _mm256_castsi256_pd(_mm256_cmpgt_epi64(max_threshold, f)))) &
+          active;
+      if (candidates != 0) {
+        alignas(32) uint64_t lane_class[kGenerateLanes];
+        alignas(32) uint64_t lane_fault[kGenerateLanes];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lane_class), cls);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lane_fault), f);
+        for (unsigned rest = candidates; rest != 0; rest &= rest - 1) {
+          const auto lane = static_cast<unsigned>(__builtin_ctz(rest));
+          if (lane_fault[lane] < tables.fault_thresholds_u53[lane_class[lane]]) {
+            faulty |= 1u << lane;
+          }
+        }
+        if (faulty != 0) {
+          break;
+        }
+      }
     }
-    const __m128i cls_lo = _mm_shuffle_epi8(_mm256_castsi256_si128(cls),
-                                            pick_lane_bytes);
-    const __m128i cls_hi = _mm_shuffle_epi8(_mm256_extracti128_si256(cls, 1),
-                                            pick_lane_bytes);
-    const uint32_t four_bytes =
-        (static_cast<uint32_t>(_mm_cvtsi128_si32(cls_lo)) & 0xffffu) |
-        (static_cast<uint32_t>(_mm_cvtsi128_si32(cls_hi)) << 16);
-    std::memcpy(class_out + i, &four_bytes, 4);
-    const unsigned candidates = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(max_threshold, f))));
-    if (candidates != 0) {
-      const unsigned mask4 = FaultyLanes(draws, i, candidates, tables, class_out);
-      // i is a multiple of 4, so the 4 bits never straddle a 64-bit word.
-      faulty_bits[i >> 6] |= static_cast<uint64_t>(mask4) << (i & 63);
-      faulty += static_cast<size_t>(__builtin_popcount(mask4));
+    alignas(32) uint64_t lane_bytes[kGenerateLanes];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_bytes), packed);
+    for (unsigned rest = active; rest != 0; rest &= rest - 1) {
+      const auto lane = static_cast<unsigned>(__builtin_ctz(rest));
+      if (done == 8) {
+        std::memcpy(class_out[lane] + step, &lane_bytes[lane], 8);
+      } else {
+        std::memcpy(class_out[lane] + step, &lane_bytes[lane], done);
+      }
     }
+    step += done;
   }
-  return faulty + ClassifyRangeScalar(draws, i, count, tables, class_out, faulty_bits);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[0]), s0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[1]), s1);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[2]), s2);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[3]), s3);
+  *faulty_lanes = faulty;
+  return step;
 }
 
 #endif  // SDC_SIMD_X86 && !SDC_FORCE_SCALAR
-
-#if SDC_SIMD_NEON && !defined(SDC_FORCE_SCALAR)
-
-size_t ClassifyDrawPairsNeon(const uint64_t* draws, size_t count,
-                             const DrawClassifyTables& tables, uint8_t* class_out,
-                             uint64_t* faulty_bits) {
-  const int bounds = tables.class_count - 1;
-  const uint64x2_t max_threshold = vdupq_n_u64(tables.fault_threshold_max_u53);
-  size_t faulty = 0;
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2x2_t pair = vld2q_u64(draws + 2 * i);  // deinterleaving load
-    const uint64x2_t a = vshrq_n_u64(pair.val[0], 11);
-    const uint64x2_t f = vshrq_n_u64(pair.val[1], 11);
-    uint64x2_t cls = vdupq_n_u64(0);
-    for (int j = 0; j < bounds; ++j) {
-      cls = vsubq_u64(cls, vcgeq_u64(a, vdupq_n_u64(tables.cdf_bounds_u53[j])));
-    }
-    class_out[i] = static_cast<uint8_t>(vgetq_lane_u64(cls, 0));
-    class_out[i + 1] = static_cast<uint8_t>(vgetq_lane_u64(cls, 1));
-    const uint64x2_t candidate = vcltq_u64(f, max_threshold);
-    const auto candidates =
-        static_cast<unsigned>((vgetq_lane_u64(candidate, 0) & 1) |
-                              ((vgetq_lane_u64(candidate, 1) & 1) << 1));
-    if (candidates != 0) {
-      const unsigned mask2 = FaultyLanes(draws, i, candidates, tables, class_out);
-      // i is even, so the two bits never straddle a 64-bit word.
-      faulty_bits[i >> 6] |= static_cast<uint64_t>(mask2) << (i & 63);
-      faulty += static_cast<size_t>(__builtin_popcount(mask2));
-    }
-  }
-  return faulty + ClassifyRangeScalar(draws, i, count, tables, class_out, faulty_bits);
-}
-
-#endif  // SDC_SIMD_NEON && !SDC_FORCE_SCALAR
 
 SimdLevel DetectBestLevel() {
 #if defined(SDC_FORCE_SCALAR)
@@ -396,30 +406,21 @@ void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
   }
 }
 
-size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
-                         const DrawClassifyTables& tables, uint8_t* class_out,
-                         uint64_t* faulty_bits, SimdLevel level) {
-  if (count == 0) {
-    return 0;
-  }
-  std::memset(faulty_bits, 0, ((count + 63) / 64) * sizeof(uint64_t));
+size_t GenerateClassifyLanes(XoshiroLanes& lanes, unsigned active, size_t begin,
+                             size_t end, const DrawClassifyTables& tables,
+                             uint8_t* const class_out[kGenerateLanes],
+                             unsigned* faulty_lanes, SimdLevel level) {
   if (level == SimdLevel::kAuto || !LevelSupported(level)) {
     level = BestSupportedSimdLevel();
   }
-  switch (level) {
 #if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
-    case SimdLevel::kAVX2:
-      return ClassifyDrawPairsAvx2(draws, count, tables, class_out, faulty_bits);
-#endif
-#if SDC_SIMD_NEON && !defined(SDC_FORCE_SCALAR)
-    case SimdLevel::kNEON:
-      return ClassifyDrawPairsNeon(draws, count, tables, class_out, faulty_bits);
-#endif
-    default:
-      // SSE2 has no 64-bit vector compare; it shares the scalar path (still branch-free
-      // in the CDF walk), keeping the "any level, same bits" contract trivially true.
-      return ClassifyRangeScalar(draws, 0, count, tables, class_out, faulty_bits);
+  if (level == SimdLevel::kAVX2) {
+    return GenerateClassifyLanesAvx2(lanes, active, begin, end, tables, class_out,
+                                     faulty_lanes);
   }
+#endif
+  return GenerateClassifyLanesScalar(lanes, active, begin, end, tables, class_out,
+                                     faulty_lanes);
 }
 
 }  // namespace sdc

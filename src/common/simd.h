@@ -60,9 +60,9 @@ SimdLevel ResolveSimdLevel(SimdLevel requested);
 void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
                        uint64_t* counts, SimdLevel level = SimdLevel::kAuto);
 
-// Classification tables of the blocked fleet generator (docs/performance.md): the arch
-// CDF boundaries and the per-arch faulty-prevalence thresholds, both in the integer draw
-// space u53 = raw >> 11 of src/common/rng.h. Entries beyond the used prefix must be
+// Classification tables of the fleet generator's lane kernel (docs/performance.md): the
+// arch CDF boundaries and the per-arch faulty-prevalence thresholds, both in the integer
+// draw space u53 = raw >> 11 of src/common/rng.h. Entries beyond the used prefix must be
 // padded with kClassifyNever (a boundary above every possible draw) so the kernels can
 // run fixed-trip-count loops over the full arrays.
 inline constexpr int kMaxClassifyClasses = 16;
@@ -75,26 +75,45 @@ struct DrawClassifyTables {
   // fault_thresholds_u53[c] = faulty iff the second draw's u53 < this; class_count used.
   uint64_t fault_thresholds_u53[kMaxClassifyClasses];
   // An upper bound on the used fault thresholds (their max, as GenerationPlan fills it):
-  // the vector kernels' quick reject. A draw pair with f >= this is clean whatever its
-  // class, so only the rare lanes below it look up their own class's threshold. The
-  // default, kClassifyNever, is a valid bound that rejects nothing.
+  // the kernels' quick reject. A draw pair with f >= this is clean whatever its class, so
+  // only the rare lanes below it look up their own class's threshold. The default,
+  // kClassifyNever, is a valid bound that rejects nothing.
   uint64_t fault_threshold_max_u53 = kClassifyNever;
 };
 
-// Classifies `count` interleaved draw pairs: for each i, with a = draws[2i] >> 11 and
-// f = draws[2i + 1] >> 11,
-//   class_out[i]  = number of cdf_bounds_u53 entries <= a  (the branchless CDF walk);
-//   bit i of faulty_bits = (f < fault_thresholds_u53[class_out[i]]).
-// fault_threshold_max_u53 only decides which lanes the vector paths check exactly; it
-// never changes the output while it bounds the used thresholds.
-// faulty_bits must hold (count + 63) / 64 words; the kernel zeroes them first. Returns
-// the number of set faulty bits. All u53 values and table entries are < 2^54, which is
-// what lets the vector paths use signed 64-bit compares. Like CountBytesByValue, every
-// level yields bit-identical output; levels without a 64-bit vector compare (SSE2) take
-// the scalar path, so dispatch is still never a behavior change.
-size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
-                         const DrawClassifyTables& tables, uint8_t* class_out,
-                         uint64_t* faulty_bits, SimdLevel level = SimdLevel::kAuto);
+// Independent xoshiro256** streams the lane kernel steps side by side: one per 64-bit
+// lane of an AVX2 register, so kGenerateLanes fleet shards share one register set.
+inline constexpr int kGenerateLanes = 4;
+
+// The streams' state, word-major: words[w][lane] is state word w of stream `lane` (the
+// layout of Rng::State), so one vector load brings the same word of every stream.
+struct XoshiroLanes {
+  alignas(32) uint64_t words[4][kGenerateLanes];
+};
+
+// The fused generate + classify kernel of the fleet generator. For each step in
+// [begin, end) it draws two raw outputs a, f from every lane's stream (exactly two Next()
+// calls of that stream) and, for each lane in the `active` bit mask, stores
+//   class_out[lane][step] = number of cdf_bounds_u53 entries <= a >> 11
+// (the branchless CDF walk). Lane `lane` is faulty at a step when
+// f >> 11 < fault_thresholds_u53[its class]. The kernel stops after the first step at
+// which some active lane is faulty: it returns that step + 1 with the faulty active lanes
+// in *faulty_lanes, and the streams positioned just past that step's draws, so a caller
+// can continue a faulty lane's stream from its state. Without a hit it returns `end`
+// with *faulty_lanes = 0. Inactive lanes are stepped but store nothing, their
+// class_out entry may be null, and their faults are ignored.
+//
+// fault_threshold_max_u53 only decides which lanes are checked exactly; it never changes
+// the output while it bounds the used thresholds. All u53 values and table entries are
+// < 2^54, which is what lets the AVX2 body use signed 64-bit compares. Every level yields
+// bit-identical output: AVX2 has a vector body, every other level (SSE2 has no 64-bit
+// vector compare) runs the portable scalar body, so dispatch is never a behavior change.
+// The scalar specification -- Rng::Next per draw, then the pair classification -- lives
+// with the tests (tests/oracle/oracle.h).
+size_t GenerateClassifyLanes(XoshiroLanes& lanes, unsigned active, size_t begin,
+                             size_t end, const DrawClassifyTables& tables,
+                             uint8_t* const class_out[kGenerateLanes],
+                             unsigned* faulty_lanes, SimdLevel level = SimdLevel::kAuto);
 
 }  // namespace sdc
 

@@ -105,14 +105,22 @@ void DaemonServer::Stop() {
 }
 
 void DaemonServer::HandleConnection(int fd) {
+  static constexpr char kTooLong[] = "err proto line too long\n";
   std::string buffer;
+  size_t scanned = 0;  // prefix of `buffer` already known to hold no newline
   char chunk[4096];
   while (true) {
     // Serve every complete line already buffered before reading more.
     size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while ((newline = buffer.find('\n', scanned)) != std::string::npos) {
+      if (newline > kMaxRequestLineBytes) {
+        WriteAll(fd, kTooLong, sizeof(kTooLong) - 1);
+        ::close(fd);
+        return;
+      }
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') {
         line.pop_back();
       }
@@ -128,6 +136,14 @@ void DaemonServer::HandleConnection(int fd) {
         Stop();
         return;
       }
+    }
+    // No newline in what is buffered: the next scan resumes after it, so a long line
+    // costs one pass, and a line already past the cap is refused without waiting for
+    // its end.
+    scanned = buffer.size();
+    if (buffer.size() > kMaxRequestLineBytes) {
+      WriteAll(fd, kTooLong, sizeof(kTooLong) - 1);
+      break;
     }
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) {

@@ -1,9 +1,9 @@
 // Unix-domain socket front end of the sdcd daemon (docs/daemon.md).
 //
 // The server owns only transport: it binds a stream socket at a filesystem path, accepts
-// connections, reads newline-terminated request lines, and answers each with the
-// ProtocolReply produced by HandleRequestLine -- status line, newline, then the payload
-// verbatim. Each connection gets its own handler thread, so a client blocked in `wait`
+// connections, reads newline-terminated request lines (at most kMaxRequestLineBytes
+// each), and answers each with the ProtocolReply produced by HandleRequestLine -- status
+// line, newline, then the payload verbatim. Each connection gets its own handler thread, so a client blocked in `wait`
 // never stalls another client's `submit`; all campaign state lives in the shared
 // CampaignManager, which is what makes the concurrency safe.
 
@@ -11,6 +11,7 @@
 #define SDC_SRC_DAEMON_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -22,6 +23,12 @@ namespace sdc {
 
 class DaemonServer {
  public:
+  // Longest request line a connection may send, newline excluded: far above any legal
+  // request (a submit with a full scenario spec is a few hundred bytes), so a line past it
+  // is a broken or hostile client. It gets `err proto line too long` and the connection
+  // is closed, which keeps each connection's buffer bounded.
+  static constexpr size_t kMaxRequestLineBytes = 64 * 1024;
+
   // `manager` must outlive the server. Nothing touches the filesystem until Start.
   DaemonServer(CampaignManager* manager, std::string socket_path);
   ~DaemonServer();

@@ -1,6 +1,7 @@
 #include "src/fleet/population.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <span>
 
@@ -30,13 +31,6 @@ uint64_t FleetShardBuffer::CapacityBytes() const {
 
 namespace {
 
-// Processors per bulk uniform fill of the blocked generator. Two draws per processor, so
-// one block is 8 KiB of uniforms -- L1-resident alongside the shard columns. Sizing: a
-// bigger block amortizes the fill/classify entry cost better, but every faulty hit
-// discards the rest of its block and replays from the snapshot, and at the paper's
-// prevalence (~5e-4 faulty) a 512-wide block keeps that waste under ~1 ns/processor.
-constexpr size_t kGenerationBlock = 512;
-
 // Draws and records one faulty processor at `at` (shard-relative), with its arch byte
 // already in place: exactly the draw sequence the per-processor loop makes after its
 // prevalence Bernoulli came up true -- GenerateRandomDefects straight into the shard
@@ -63,50 +57,112 @@ void EmitFaultyProcessor(const PopulationConfig& config, const GenerationPlan& p
   buffer.faulty_ranges.push_back({defect_start, static_cast<uint32_t>(defect_count)});
 }
 
-// The blocked kernel (docs/performance.md): snapshot the (copyable) Rng, bulk-fill a
-// block of raw uniforms, and classify the (arch, prevalence) draw pairs branchlessly
-// against the plan's u53 tables -- byte-identical to the per-processor loop because the
-// tables were derived from the reference arithmetic itself (WeightedCdf /
-// BernoulliThresholdU53, src/common/rng.h). On the rare faulty hit the stream re-syncs
-// from the snapshot to just past that processor's two clean-path draws and takes the
-// scalar tail, so defect draws land at exactly the reference positions; everything after
-// the hit is re-blocked. flag_bytes arrive pre-filled with kDetectableFlag, and the
-// per-arch tally is one SIMD histogram over the finished column instead of a
-// per-processor increment.
-void GenerateShardBlocked(const PopulationConfig& config, const GenerationPlan& plan,
-                          Rng rng, uint64_t begin, uint64_t end,
-                          FleetShardBuffer& buffer) {
-  const size_t n = static_cast<size_t>(end - begin);
-  uint64_t draws[2 * kGenerationBlock];
-  uint64_t faulty_bits[kGenerationBlock / 64];
-  size_t index = 0;
-  while (index < n) {
-    const size_t block = std::min(kGenerationBlock, n - index);
-    const Rng snapshot = rng;  // includes any cached Box-Muller partner
-    rng.FillBlock(std::span<uint64_t>(draws, 2 * block));
-    const size_t hits = ClassifyDrawPairs(draws, block, plan.tables,
-                                          buffer.arch_bytes.data() + index, faulty_bits,
-                                          plan.simd);
-    if (hits == 0) {
-      index += block;
-      continue;
+// Per-processor path for degenerate configs: the original loop, with the per-shard share
+// copy and pcore-table rebuild hoisted into the plan and defects appended straight into
+// the shard arena (same draws, same bytes, no per-faulty vector churn).
+void GenerateShardPerProcessor(const PopulationConfig& config, const GenerationPlan& plan,
+                               Rng rng, uint64_t begin, uint64_t end,
+                               FleetShardBuffer& buffer) {
+  buffer.arch_bytes.resize(end - begin);
+  buffer.flag_bytes.resize(end - begin);
+  FleetShardTally& tally = buffer.tally;
+  for (uint64_t serial = begin; serial < end; ++serial) {
+    const int arch_index = static_cast<int>(rng.NextWeighted(plan.shares));
+    buffer.arch_bytes[serial - begin] = static_cast<uint8_t>(arch_index);
+    const double prevalence = config.detected_rate[arch_index] / config.detectability;
+    uint8_t flags = FleetPopulation::kDetectableFlag;
+    if (rng.NextBernoulli(prevalence)) {
+      EmitFaultyProcessor(config, plan, rng, begin, serial - begin, buffer);
+      flags = buffer.flag_bytes[serial - begin];
     }
-    size_t word = 0;
-    while (faulty_bits[word] == 0) {
-      ++word;
-    }
-    const size_t f = word * 64 + static_cast<size_t>(std::countr_zero(faulty_bits[word]));
-    // Processors [index, index + f) are clean and keep their bulk-classified arch bytes;
-    // processor index + f consumed its two draws in the fill, so replay the snapshot to
-    // that position and continue scalar. Draws already filled past the hit are simply
-    // regenerated by the next block.
-    rng = snapshot;
-    rng.Skip(2 * (f + 1));
-    EmitFaultyProcessor(config, plan, rng, begin, index + f, buffer);
-    index += f + 1;
+    buffer.flag_bytes[serial - begin] = flags;
+    ++tally.by_arch[static_cast<size_t>(arch_index)];
   }
-  CountBytesByValue(buffer.arch_bytes.data(), n, kArchCount, buffer.tally.by_arch.data(),
-                    plan.simd);
+}
+
+void StoreLane(const Rng& rng, int lane, XoshiroLanes& lanes) {
+  const Rng::StateWords words = rng.State();
+  for (size_t w = 0; w < words.size(); ++w) {
+    lanes.words[w][lane] = words[w];
+  }
+}
+
+void LoadLane(const XoshiroLanes& lanes, int lane, Rng& rng) {
+  Rng::StateWords words;
+  for (size_t w = 0; w < words.size(); ++w) {
+    words[w] = lanes.words[w][lane];
+  }
+  rng.SetState(words);
+}
+
+// The lane kernel (docs/performance.md): each shard of the group owns one lane of an
+// XoshiroLanes set, seeded from its own Fork, and GenerateClassifyLanes steps all of them
+// at once, classifying each (arch, prevalence) draw pair branchlessly against the plan's
+// u53 tables -- byte-identical to the per-processor loop because the tables were derived
+// from the reference arithmetic itself (WeightedCdf / BernoulliThresholdU53,
+// src/common/rng.h). The kernel stops after a step where some lane is faulty, with that
+// lane's stream just past its two clean-path draws; the lane's own Rng (which keeps its
+// Box-Muller cache between hits) takes the state, draws the defects, and hands the state
+// back, so defect draws land at exactly the reference positions and no draw is thrown
+// away. Lanes without a shard, and lanes whose (shorter) shard has ended, leave the
+// active mask: they keep stepping, store nothing, and their faults are ignored.
+// flag_bytes arrive pre-filled with kDetectableFlag, and each shard's per-arch tally is
+// one SIMD histogram over its finished column instead of a per-processor increment.
+void GenerateGroupBlocked(const PopulationConfig& config, const GenerationPlan& plan,
+                          const Rng& base, uint64_t first_shard,
+                          std::span<FleetShardBuffer> buffers) {
+  std::array<Rng, kGenerateLanes> rngs{base, base, base, base};
+  std::array<size_t, kGenerateLanes> lengths{};
+  uint8_t* class_out[kGenerateLanes] = {};
+  unsigned active = 0;
+  XoshiroLanes lanes;
+  for (int lane = 0; lane < kGenerateLanes; ++lane) {
+    const auto index = static_cast<size_t>(lane);
+    if (index < buffers.size()) {
+      const uint64_t shard = first_shard + index;
+      const uint64_t begin = shard * kFleetShardGrain;
+      const uint64_t end = std::min(begin + kFleetShardGrain, config.processor_count);
+      FleetShardBuffer& buffer = buffers[index];
+      buffer.arch_bytes.resize(end - begin);
+      buffer.flag_bytes.assign(end - begin, FleetPopulation::kDetectableFlag);
+      rngs[index] = base.Fork(shard);
+      lengths[index] = static_cast<size_t>(end - begin);
+      class_out[index] = buffer.arch_bytes.data();
+      active |= 1u << lane;
+    }
+    StoreLane(rngs[index], lane, lanes);
+  }
+  size_t step = 0;
+  while (active != 0) {
+    size_t stop = kFleetShardGrain;
+    for (unsigned rest = active; rest != 0; rest &= rest - 1) {
+      stop = std::min(stop, lengths[static_cast<size_t>(std::countr_zero(rest))]);
+    }
+    while (step < stop) {
+      unsigned faulty = 0;
+      step = GenerateClassifyLanes(lanes, active, step, stop, plan.tables, class_out,
+                                   &faulty, plan.simd);
+      for (; faulty != 0; faulty &= faulty - 1) {
+        const int lane = std::countr_zero(faulty);
+        const auto index = static_cast<size_t>(lane);
+        LoadLane(lanes, lane, rngs[index]);
+        EmitFaultyProcessor(config, plan, rngs[index],
+                            (first_shard + index) * kFleetShardGrain, step - 1,
+                            buffers[index]);
+        StoreLane(rngs[index], lane, lanes);
+      }
+    }
+    for (unsigned rest = active; rest != 0; rest &= rest - 1) {
+      const int lane = std::countr_zero(rest);
+      if (lengths[static_cast<size_t>(lane)] == stop) {
+        active &= ~(1u << lane);
+      }
+    }
+  }
+  for (FleetShardBuffer& buffer : buffers) {
+    CountBytesByValue(buffer.arch_bytes.data(), buffer.arch_bytes.size(), kArchCount,
+                      buffer.tally.by_arch.data(), plan.simd);
+  }
 }
 
 GenerationPlan BuildPlan(const PopulationConfig& config, SimdLevel resolved) {
@@ -154,33 +210,21 @@ GenerationPlan GenerationPlan::Build(const PopulationConfig& config,
   return BuildPlan(config, context.simd());
 }
 
-void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& plan,
-                        const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
-                        FleetShardBuffer& buffer) {
-  buffer.Clear();
-  buffer.arch_bytes.resize(end - begin);
+void GenerateFleetShardGroup(const PopulationConfig& config, const GenerationPlan& plan,
+                             const Rng& base, uint64_t first_shard,
+                             std::span<FleetShardBuffer> buffers) {
+  for (FleetShardBuffer& buffer : buffers) {
+    buffer.Clear();
+  }
   if (plan.blocked) {
-    buffer.flag_bytes.assign(end - begin, FleetPopulation::kDetectableFlag);
-    GenerateShardBlocked(config, plan, base.Fork(shard), begin, end, buffer);
+    GenerateGroupBlocked(config, plan, base, first_shard, buffers);
     return;
   }
-  // Per-processor path for degenerate configs: the original loop, with the per-shard
-  // share copy and pcore-table rebuild hoisted into the plan and defects appended
-  // straight into the shard arena (same draws, same bytes, no per-faulty vector churn).
-  buffer.flag_bytes.resize(end - begin);
-  FleetShardTally& tally = buffer.tally;
-  Rng rng = base.Fork(shard);
-  for (uint64_t serial = begin; serial < end; ++serial) {
-    const int arch_index = static_cast<int>(rng.NextWeighted(plan.shares));
-    buffer.arch_bytes[serial - begin] = static_cast<uint8_t>(arch_index);
-    const double prevalence = config.detected_rate[arch_index] / config.detectability;
-    uint8_t flags = FleetPopulation::kDetectableFlag;
-    if (rng.NextBernoulli(prevalence)) {
-      EmitFaultyProcessor(config, plan, rng, begin, serial - begin, buffer);
-      flags = buffer.flag_bytes[serial - begin];
-    }
-    buffer.flag_bytes[serial - begin] = flags;
-    ++tally.by_arch[static_cast<size_t>(arch_index)];
+  for (size_t i = 0; i < buffers.size(); ++i) {
+    const uint64_t shard = first_shard + i;
+    const uint64_t begin = shard * kFleetShardGrain;
+    const uint64_t end = std::min(begin + kFleetShardGrain, config.processor_count);
+    GenerateShardPerProcessor(config, plan, base.Fork(shard), begin, end, buffers[i]);
   }
 }
 

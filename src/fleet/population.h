@@ -105,10 +105,10 @@ struct FleetShardTally {
   std::array<uint64_t, kArchCount> defects_by_arch{};
 };
 
-// Reusable shard-local storage filled by GenerateFleetShard. Streaming drivers keep one
-// buffer per worker lane and refill it for every shard that lane claims, so a whole
-// generate->screen->aggregate pass peaks at O(lanes * shard) bytes regardless of fleet
-// size (docs/streaming.md).
+// Reusable shard-local storage filled by GenerateFleetShardGroup. Streaming drivers keep
+// kGenerateLanes buffers per worker lane and refill them for every shard group that lane
+// claims, so a whole generate->screen->aggregate pass peaks at O(lanes * shard) bytes
+// regardless of fleet size (docs/streaming.md).
 struct FleetShardBuffer {
   // Packed per-processor columns, indexed by serial - shard_begin.
   std::vector<uint8_t> arch_bytes;
@@ -131,7 +131,7 @@ struct FleetShardBuffer {
 // stream/batch (FleetShardStream::Drive does it before the first shard) and shared
 // read-only by every shard -- per-shard work that is a pure function of the config
 // (weight re-summing, MakeArchSpec lookups, CDF boundaries, Bernoulli thresholds) lives
-// here instead of in the per-processor loop. `blocked` reports whether the bulk kernel
+// here instead of in the per-processor loop. `blocked` reports whether the lane kernel
 // is usable: it needs an exact, drawing arch CDF and a per-arch prevalence that consumes
 // exactly one draw per processor (0 < rate/detectability < 1); any degenerate config
 // falls back to the per-processor loop, which handles every input. Both paths generate
@@ -150,15 +150,18 @@ struct GenerationPlan {
   static GenerationPlan Build(const PopulationConfig& config, EngineContext& context);
 };
 
-// Generates serials [begin, end) of the fleet described by `config` into `buffer`
-// (cleared first), drawing every random value from base.Fork(shard) where `base` is
-// Rng(config.seed). This is the single generation kernel: FleetPopulation::Generate and
-// FleetShardStream both call it, so the materialized and streaming fleets are identical
-// bytes by construction. `begin` must equal shard * kFleetShardGrain; `plan` is built once
-// per pass and shared by every shard.
-void GenerateFleetShard(const PopulationConfig& config, const GenerationPlan& plan,
-                        const Rng& base, uint64_t shard, uint64_t begin, uint64_t end,
-                        FleetShardBuffer& buffer);
+// Generates the consecutive shards first_shard, first_shard + 1, ... of the fleet
+// described by `config`, one per buffer (buffers.size() in [1, kGenerateLanes], each
+// cleared first; every shard named must begin below config.processor_count). Shard s
+// covers serials [s * kFleetShardGrain, min((s + 1) * kFleetShardGrain, processor_count))
+// and draws every random value from base.Fork(s), where `base` is Rng(config.seed), so a
+// shard's bytes do not depend on the group it was generated in. This is the single
+// generation kernel: FleetPopulation::Generate and FleetShardStream both call it, so the
+// materialized and streaming fleets are identical bytes by construction. `plan` is built
+// once per pass and shared by every group.
+void GenerateFleetShardGroup(const PopulationConfig& config, const GenerationPlan& plan,
+                             const Rng& base, uint64_t first_shard,
+                             std::span<FleetShardBuffer> buffers);
 
 class FleetPopulation {
  public:
@@ -167,7 +170,7 @@ class FleetPopulation {
   static constexpr uint8_t kDetectableFlag = 2;
 
   // Generates on `context`: its pool supplies the lanes, its vector level drives the
-  // blocked kernel, and its attached sinks back any config sink left null, so no mutable
+  // lane kernel, and its attached sinks back any config sink left null, so no mutable
   // process-global state is read after the context was built (src/common/context.h). The
   // context-free form is shorthand for a fresh EngineContext built from config.threads.
   static FleetPopulation Generate(const PopulationConfig& config);

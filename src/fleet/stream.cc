@@ -1,6 +1,7 @@
 #include "src/fleet/stream.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -97,8 +98,10 @@ StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
   // One plan for the whole pass: the per-shard CDF/threshold/pcore precompute happens
   // here, once, and every lane shares it read-only.
   const GenerationPlan plan = GenerationPlan::Build(config_, context);
+  // A lane claims kGenerateLanes shards at a time -- one per stream of the generation
+  // lane kernel -- and hands them to the consumers one by one, in shard order.
   struct LaneState {
-    FleetShardBuffer buffer;
+    std::array<FleetShardBuffer, kGenerateLanes> buffers;
     uint64_t peak_bytes = 0;
   };
   std::vector<LaneState> lanes(static_cast<size_t>(pool.thread_count()));
@@ -113,47 +116,60 @@ StreamReport FleetShardStream::Drive(std::span<ShardConsumer* const> consumers,
   };
   std::vector<ShardSample> samples(series != nullptr ? shards : 0);
 
+  constexpr uint64_t kGroupGrain = kGenerateLanes * kFleetShardGrain;
   pool.ParallelStream(
-      0, config_.processor_count, kFleetShardGrain,
-      [&](int lane, uint64_t shard, uint64_t begin, uint64_t end) {
+      0, config_.processor_count, kGroupGrain,
+      [&](int lane, uint64_t group, uint64_t group_begin, uint64_t group_end) {
         LaneState& state = lanes[static_cast<size_t>(lane)];
-        GenerateFleetShard(config_, plan, base, shard, begin, end, state.buffer);
+        const auto group_shards = static_cast<size_t>(
+            ThreadPool::ShardCountFor(group_begin, group_end, kFleetShardGrain));
+        const std::span<FleetShardBuffer> buffers(state.buffers.data(), group_shards);
+        GenerateFleetShardGroup(config_, plan, base, group * kGenerateLanes, buffers);
 
-        FleetShard view;
-        view.shard = shard;
-        view.begin = begin;
-        view.end = end;
-        view.tally = &state.buffer.tally;
-        view.arch_bytes = state.buffer.arch_bytes;
-        view.flag_bytes = state.buffer.flag_bytes;
-        view.faulty_serials = state.buffer.faulty_serials;
-        view.faulty_ranges = state.buffer.faulty_ranges;
-        view.defects = state.buffer.defects;
-        for (ShardConsumer* consumer : consumers) {
-          consumer->ConsumeShard(view);
+        for (size_t i = 0; i < group_shards; ++i) {
+          const FleetShardBuffer& buffer = buffers[i];
+          const uint64_t shard = group * kGenerateLanes + i;
+          const uint64_t begin = shard * kFleetShardGrain;
+          const uint64_t end = begin + buffer.arch_bytes.size();
+          FleetShard view;
+          view.shard = shard;
+          view.begin = begin;
+          view.end = end;
+          view.tally = &buffer.tally;
+          view.arch_bytes = buffer.arch_bytes;
+          view.flag_bytes = buffer.flag_bytes;
+          view.faulty_serials = buffer.faulty_serials;
+          view.faulty_ranges = buffer.faulty_ranges;
+          view.defects = buffer.defects;
+          for (ShardConsumer* consumer : consumers) {
+            consumer->ConsumeShard(view);
+          }
+          if (metrics != nullptr) {
+            deltas[shard] = DeltaFromTally(buffer.tally, end - begin);
+          }
+          if (series != nullptr) {
+            samples[shard] = {end - begin, buffer.tally.faulty};
+          }
+          if (trace != nullptr) {
+            // Sim clock: processor serial space. ts = first serial, dur = shard width, so
+            // the generation timeline reads as coverage of the fleet's serial axis.
+            TraceEvent span = MakeTraceSpan("generate.shard", "generate",
+                                            kTraceTrackGenerate,
+                                            static_cast<double>(begin),
+                                            static_cast<double>(end - begin));
+            span.num_args.reserve(3);
+            span.num_args.emplace_back("shard", static_cast<double>(shard));
+            span.num_args.emplace_back("faulty", static_cast<double>(buffer.tally.faulty));
+            span.num_args.emplace_back("defects",
+                                       static_cast<double>(buffer.tally.defects));
+            traces[shard].Add(std::move(span));
+          }
         }
-        if (metrics != nullptr) {
-          deltas[shard] = DeltaFromTally(state.buffer.tally, end - begin);
+        uint64_t lane_bytes = 0;
+        for (const FleetShardBuffer& buffer : state.buffers) {
+          lane_bytes += buffer.CapacityBytes();
         }
-        if (series != nullptr) {
-          samples[shard] = {end - begin, state.buffer.tally.faulty};
-        }
-        if (trace != nullptr) {
-          // Sim clock: processor serial space. ts = first serial, dur = shard width, so
-          // the generation timeline reads as coverage of the fleet's serial axis.
-          TraceEvent span = MakeTraceSpan("generate.shard", "generate",
-                                          kTraceTrackGenerate,
-                                          static_cast<double>(begin),
-                                          static_cast<double>(end - begin));
-          span.num_args.reserve(3);
-          span.num_args.emplace_back("shard", static_cast<double>(shard));
-          span.num_args.emplace_back("faulty",
-                                     static_cast<double>(state.buffer.tally.faulty));
-          span.num_args.emplace_back("defects",
-                                     static_cast<double>(state.buffer.tally.defects));
-          traces[shard].Add(std::move(span));
-        }
-        state.peak_bytes = std::max(state.peak_bytes, state.buffer.CapacityBytes());
+        state.peak_bytes = std::max(state.peak_bytes, lane_bytes);
       });
 
   for (const LaneState& state : lanes) {

@@ -2,16 +2,16 @@
 //
 // FleetPopulation::Generate materializes every column and defect before anything can look
 // at them, which bounds fleet size by RAM and pays a full write + re-read of the columns.
-// FleetShardStream inverts that: it generates the fleet one kFleetShardGrain-wide shard at
-// a time into per-lane scratch buffers and hands each shard -- as a FleetShard view of
-// packed byte columns plus defect spans over the shard-local arena -- to a set of
-// ShardConsumers while the data is hot in cache. A fused generate -> screen -> aggregate
-// pass therefore peaks at O(lanes * shard) bytes, so a 100M-processor fleet is a flag,
-// not an OOM.
+// FleetShardStream inverts that: it generates the fleet kGenerateLanes kFleetShardGrain-
+// wide shards at a time into per-lane scratch buffers and hands each shard -- as a
+// FleetShard view of packed byte columns plus defect spans over the shard-local arena --
+// to a set of ShardConsumers while the data is hot in cache. A fused generate -> screen
+// -> aggregate pass therefore peaks at O(lanes * shard) bytes, so a 100M-processor fleet
+// is a flag, not an OOM.
 //
 // Determinism: the stream uses the same fixed shard layout and per-shard Rng::Fork
 // streams as the materialized path (the two share one generation kernel,
-// GenerateFleetShard), consumers store per-shard partial results indexed by shard, and
+// GenerateFleetShardGroup), consumers store per-shard partial results indexed by shard, and
 // EndStream merges them in shard order -- the same contract as docs/parallelism.md, so
 // every streaming result is byte-identical to its materialized counterpart at any thread
 // count (tests/stream_test.cc pins this at 1/2/8 threads).
@@ -106,9 +106,10 @@ struct StreamReport {
   uint64_t peak_scratch_bytes = 0;
 };
 
-// Drives a fused streaming pass over the fleet described by `config`: for every shard of
-// kFleetShardGrain processors, generate into the claiming lane's scratch buffer, then
-// hand the FleetShard view to every consumer in turn. Per-shard generation MetricsDeltas
+// Drives a fused streaming pass over the fleet described by `config`: for every group of
+// kGenerateLanes shards of kFleetShardGrain processors, generate into the claiming lane's
+// scratch buffers, then hand each shard's FleetShard view, in shard order, to every
+// consumer in turn. Per-shard generation MetricsDeltas
 // (same "fleet.generate.*" keys as the materialized path) are merged into config.metrics
 // in shard order after the pass.
 class FleetShardStream {

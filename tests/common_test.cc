@@ -149,37 +149,6 @@ TEST(RngTest, WeightedSingleElementNeverUnderflows) {
   }
 }
 
-TEST(RngTest, FillBlockMatchesNextSequence) {
-  Rng bulk(37);
-  Rng serial(37);
-  uint64_t draws[257];
-  bulk.FillBlock(std::span<uint64_t>(draws, 257));  // odd size: exercises no alignment
-  for (uint64_t draw : draws) {
-    EXPECT_EQ(draw, serial.Next());
-  }
-  // Split fills continue the same stream.
-  bulk.FillBlock(std::span<uint64_t>(draws, 3));
-  bulk.FillBlock(std::span<uint64_t>(draws + 3, 5));
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(draws[i], serial.Next());
-  }
-  EXPECT_EQ(bulk.Next(), serial.Next());
-}
-
-TEST(RngTest, SkipMatchesDiscardedNexts) {
-  Rng skipped(41);
-  Rng drained(41);
-  skipped.Skip(0);
-  EXPECT_EQ(skipped.Next(), drained.Next());
-  skipped.Skip(129);
-  for (int i = 0; i < 129; ++i) {
-    (void)drained.Next();
-  }
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(skipped.Next(), drained.Next());
-  }
-}
-
 TEST(RngTest, BernoulliThresholdU53MatchesNextBernoulli) {
   // The threshold must classify every raw draw exactly as NextBernoulli does:
   // faulty iff (raw >> 11) < threshold.

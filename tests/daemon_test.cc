@@ -6,15 +6,20 @@
 // JSON) to serial one-shot streaming runs. Runs under TSAN in CI: the manager's worker
 // threads, the scheduler, and cancellation all execute here.
 
+#include <unistd.h>
+
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/context.h"
 #include "src/daemon/campaign.h"
+#include "src/daemon/client.h"
 #include "src/daemon/protocol.h"
+#include "src/daemon/server.h"
 #include "src/daemon/spec.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/stream.h"
@@ -27,6 +32,50 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Spec parsing
+
+TEST(DaemonServerTest, OverlongRequestLineIsRefusedAndClosed) {
+  CampaignManager manager(1);
+  const std::string path =
+      ::testing::TempDir() + "sdcd_line_" + std::to_string(::getpid()) + ".sock";
+  DaemonServer server(&manager, path);
+  std::string error;
+  ASSERT_TRUE(server.Start(error)) << error;
+  std::thread serving([&server] { server.Serve(); });
+  std::string line;
+  std::string payload;
+  {
+    // A line at the cap is read and answered like any other (here: an unknown verb).
+    DaemonClient client(path);
+    ASSERT_TRUE(client.Connect(error)) << error;
+    ASSERT_TRUE(client.Request(std::string(DaemonServer::kMaxRequestLineBytes, 'x'), line,
+                               payload, error))
+        << error;
+    EXPECT_EQ(line.rfind("err proto ", 0), 0u) << line;
+    EXPECT_NE(line, "err proto line too long");
+    ASSERT_TRUE(client.Request("ping", line, payload, error)) << error;
+    EXPECT_EQ(line, "ok pong");
+  }
+  {
+    // One byte past it: refused, and the connection is closed.
+    DaemonClient client(path);
+    ASSERT_TRUE(client.Connect(error)) << error;
+    ASSERT_TRUE(client.Request("ping", line, payload, error)) << error;
+    ASSERT_TRUE(client.Request(std::string(DaemonServer::kMaxRequestLineBytes + 1, 'x'),
+                               line, payload, error))
+        << error;
+    EXPECT_EQ(line, "err proto line too long");
+  }
+  {
+    // The server still serves new connections.
+    DaemonClient client(path);
+    ASSERT_TRUE(client.Connect(error)) << error;
+    ASSERT_TRUE(client.Request("ping", line, payload, error)) << error;
+    EXPECT_EQ(line, "ok pong");
+  }
+  server.Stop();
+  serving.join();
+  ::unlink(path.c_str());
+}
 
 TEST(CampaignSpecTest, ParsesFullSpec) {
   CampaignSpec spec;

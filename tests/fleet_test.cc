@@ -1,13 +1,17 @@
 // Tests for src/fleet: population generation and the four-stage screening pipeline.
 // Statistical assertions use loose bounds around the Table 1 / Table 2 calibration targets.
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "src/common/context.h"
+#include "src/common/rng.h"
 #include "src/fault/catalog.h"
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
@@ -258,6 +262,172 @@ TEST_F(FleetTest, GoldenFleetSnapshotHash) {
   EXPECT_EQ(HashFleet(fleet), 0xa03e3b0bb460cae3ull);
   EngineContext context;
   EXPECT_EQ(HashFleet(ReferenceGenerate(config, context)), 0xa03e3b0bb460cae3ull);
+}
+
+TEST(FleetGoldenTest, LaneGroupEdgeShapeHashes) {
+  // Digests of the fleet shapes at the edges of the four-lane generation group, taken
+  // from the one-shard-at-a-time generator before the group kernel existed: a single
+  // processor (three idle lanes), 3 shards + 5 processors (a short group whose last shard
+  // is not a multiple of the 8-step class store), and 1,000,003 processors at seed 7 (a
+  // ragged last group). Every dispatch level and thread count must land on them.
+  struct Shape {
+    uint64_t processors;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Shape shapes[] = {
+      {1, PopulationConfig().seed, 0x5968986849be8dc0ull},
+      {3 * kFleetShardGrain + 5, PopulationConfig().seed, 0xb6f9fb2080dc4822ull},
+      {1'000'003, 7, 0x5e2e76162f37feddull},
+  };
+  for (const Shape& shape : shapes) {
+    for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+      for (const int threads : {1, 4}) {
+        EXPECT_EQ(HashFleet(GenerateVariant(shape.processors, shape.seed,
+                                            /*reference=*/false, simd, threads)),
+                  shape.digest)
+            << shape.processors << " processors, " << SimdLevelName(simd) << ", "
+            << threads << " threads";
+      }
+    }
+    EngineContext context;
+    PopulationConfig config;
+    config.processor_count = shape.processors;
+    config.seed = shape.seed;
+    EXPECT_EQ(HashFleet(ReferenceGenerate(config, context)), shape.digest)
+        << shape.processors << " processors, reference";
+  }
+}
+
+// ---- Lane-group edges ------------------------------------------------------------
+//
+// The lane kernel steps kGenerateLanes shard streams together and stops for every faulty
+// hit; these configs make about one processor in five faulty, so it stops and resumes
+// constantly, and every edge below is hit many times over.
+
+PopulationConfig HitHeavyConfig(uint64_t processors, uint64_t seed) {
+  PopulationConfig config;
+  config.processor_count = processors;
+  config.seed = seed;
+  config.detected_rate.fill(0.2);
+  config.detectability = 1.0;
+  return config;
+}
+
+uint64_t HashShard(const FleetShardBuffer& buffer) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  hash = Fnv1a(hash, buffer.arch_bytes.data(), buffer.arch_bytes.size());
+  hash = Fnv1a(hash, buffer.flag_bytes.data(), buffer.flag_bytes.size());
+  hash = Fnv1a(hash, buffer.faulty_serials.data(),
+               buffer.faulty_serials.size() * sizeof(uint64_t));
+  for (const DefectRange& range : buffer.faulty_ranges) {
+    hash = Fnv1a(hash, &range.offset, sizeof(range.offset));
+    hash = Fnv1a(hash, &range.count, sizeof(range.count));
+  }
+  for (const Defect& defect : buffer.defects) {
+    hash = HashDefect(hash, defect);
+  }
+  const FleetShardTally& tally = buffer.tally;
+  for (const uint64_t value : {tally.faulty, tally.defects, tally.undetectable}) {
+    hash = Fnv1a(hash, &value, sizeof(value));
+  }
+  hash = Fnv1a(hash, tally.by_arch.data(), sizeof(tally.by_arch));
+  return Fnv1a(hash, tally.defects_by_arch.data(), sizeof(tally.defects_by_arch));
+}
+
+// Shard `shard` as the per-processor loop generates it, alone.
+uint64_t ReferenceShardHash(const PopulationConfig& config, uint64_t shard) {
+  EngineContext context(EngineOptions{.threads = 1});
+  GenerationPlan plan = GenerationPlan::Build(config, context);
+  plan.blocked = false;
+  FleetShardBuffer buffer;
+  GenerateFleetShardGroup(config, plan, Rng(config.seed), shard,
+                          std::span<FleetShardBuffer>(&buffer, 1));
+  return HashShard(buffer);
+}
+
+// The fleet at every dispatch level and at 1 and 4 threads equals the reference loop's.
+void ExpectLaneGroupsMatchReference(const PopulationConfig& config) {
+  EngineContext reference_context(EngineOptions{.threads = 1});
+  const FleetPopulation reference = ReferenceGenerate(config, reference_context);
+  for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+    for (const int threads : {1, 4}) {
+      EngineContext context(EngineOptions{.threads = threads, .simd = simd});
+      EXPECT_EQ(IdenticalFleets(reference, FleetPopulation::Generate(config, context)), "")
+          << SimdLevelName(simd) << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(LaneGroupTest, ShardBytesDoNotDependOnTheGroup) {
+  // 6 shards + 5 processors, every (first shard, group size) window at every level:
+  // groups that do not start at a multiple of kGenerateLanes, short groups with idle
+  // lanes, and the ragged last shard in every lane position.
+  const PopulationConfig config = HitHeavyConfig(6 * kFleetShardGrain + 5, 2024);
+  const uint64_t shards = 7;
+  std::vector<uint64_t> expected;
+  for (uint64_t shard = 0; shard < shards; ++shard) {
+    expected.push_back(ReferenceShardHash(config, shard));
+  }
+  for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+    EngineContext context(EngineOptions{.threads = 1, .simd = simd});
+    const GenerationPlan plan = GenerationPlan::Build(config, context);
+    ASSERT_TRUE(plan.blocked);
+    for (uint64_t first = 0; first < shards; ++first) {
+      const uint64_t most = std::min<uint64_t>(kGenerateLanes, shards - first);
+      for (uint64_t size = 1; size <= most; ++size) {
+        std::array<FleetShardBuffer, kGenerateLanes> buffers;
+        GenerateFleetShardGroup(config, plan, Rng(config.seed), first,
+                                std::span<FleetShardBuffer>(buffers.data(), size));
+        for (uint64_t i = 0; i < size; ++i) {
+          EXPECT_EQ(HashShard(buffers[i]), expected[first + i])
+              << "shard " << first + i << " in a group of " << size << " from shard "
+              << first << ", " << SimdLevelName(simd);
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneGroupTest, HitOnAShardsLastProcessor) {
+  // The kernel's stop and the lane's shard end coincide: the faulty part is the last
+  // processor the lane generates, in a full shard and in the ragged last one.
+  const PopulationConfig config = HitHeavyConfig(12 * kFleetShardGrain + 3, 16);
+  EngineContext context(EngineOptions{.threads = 1});
+  const FleetPopulation fleet = ReferenceGenerate(config, context);
+  bool full_shard_end = false;
+  for (uint64_t end = kFleetShardGrain; end < fleet.size(); end += kFleetShardGrain) {
+    full_shard_end |= fleet.faulty(end - 1);
+  }
+  ASSERT_TRUE(full_shard_end) << "no full shard ends on a faulty part; pick another seed";
+  ASSERT_TRUE(fleet.faulty(fleet.size() - 1)) << "the fleet's last part is clean";
+  ExpectLaneGroupsMatchReference(config);
+}
+
+TEST(LaneGroupTest, GaussianPartnerCachedByOneHitIsConsumedByTheNext) {
+  // Every defect draws one Gaussian, so a faulty part with an odd defect count leaves a
+  // Box-Muller partner cached in its lane's Rng; the lane's next faulty part must consume
+  // that partner, not a fresh pair.
+  const PopulationConfig config = HitHeavyConfig(4 * kFleetShardGrain, 5);
+  EngineContext context(EngineOptions{.threads = 1});
+  const FleetPopulation fleet = ReferenceGenerate(config, context);
+  bool carried = false;
+  for (size_t i = 0; i + 1 < fleet.faulty_serials().size(); ++i) {
+    const bool same_shard = fleet.faulty_serials()[i] / kFleetShardGrain ==
+                            fleet.faulty_serials()[i + 1] / kFleetShardGrain;
+    carried |= same_shard && fleet.faulty_ranges()[i].count % 2 == 1;
+  }
+  ASSERT_TRUE(carried);
+  ExpectLaneGroupsMatchReference(config);
+}
+
+TEST(LaneGroupTest, IdleAndFinishedLanesJunkHitsAreIgnored) {
+  // One shard of 100 processors leaves three lanes idle for 100 steps, and 2 shards + 5
+  // processors leave the ragged lane stepping 8187 steps past its shard's end. At a
+  // one-in-five fault rate those lanes' junk draws fall below the threshold thousands of
+  // times (none at all in 100 steps has odds of about 2e-10 per lane); none may surface.
+  ExpectLaneGroupsMatchReference(HitHeavyConfig(100, 17));
+  ExpectLaneGroupsMatchReference(HitHeavyConfig(2 * kFleetShardGrain + 5, 19));
 }
 
 TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {

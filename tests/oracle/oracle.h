@@ -6,8 +6,12 @@
 // path can be checked byte for byte forever:
 //   ReferenceScreen    -- the pre-memoization per-processor screening model, against
 //                         ScreeningPipeline::Run / RunBatch / StreamingScreen.
-//   ReferenceGenerate  -- the per-processor generation loop (GenerateFleetShard with
-//                         GenerationPlan::blocked forced off), against the blocked kernel.
+//   ReferenceGenerate  -- the per-processor generation loop (GenerateFleetShardGroup
+//                         with GenerationPlan::blocked forced off), against the lane
+//                         kernel.
+//   FillBlock, Skip, ClassifyDrawPairs -- the one-stream scalar specification of the
+//                         lane kernel GenerateClassifyLanes (src/common/simd.h): bulk
+//                         raw draws, then the pair classification.
 //   SimulateProtectedWorkloadReference -- the monolithic protection loop, against the
 //                         ProtectionSession decomposition behind SimulateProtectedWorkload.
 // plus the one set of identity comparators the suites and benches share.
@@ -15,9 +19,14 @@
 #ifndef SDC_TESTS_ORACLE_ORACLE_H_
 #define SDC_TESTS_ORACLE_ORACLE_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "src/common/context.h"
+#include "src/common/rng.h"
+#include "src/common/simd.h"
 #include "src/farron/farron.h"
 #include "src/farron/protection.h"
 #include "src/fault/machine.h"
@@ -41,6 +50,24 @@ ScreeningStats ReferenceScreen(const ScreeningPipeline& pipeline,
 // it through FleetMaterializer: the fleet FleetPopulation::Generate must reproduce
 // bitwise. Sinks are ignored.
 FleetPopulation ReferenceGenerate(const PopulationConfig& config, EngineContext& context);
+
+// Fills `out` with out.size() consecutive raw outputs of `rng` -- bit-for-bit the sequence
+// that many Next() calls return, advancing the state identically -- from its own copy of
+// the xoshiro256** update. The Gaussian cache is untouched.
+void FillBlock(Rng& rng, std::span<uint64_t> out);
+
+// Discards `count` raw outputs, as that many Next() calls would.
+void Skip(Rng& rng, uint64_t count);
+
+// Classifies `count` interleaved draw pairs: for each i, with a = draws[2i] >> 11 and
+// f = draws[2i + 1] >> 11,
+//   class_out[i]  = number of cdf_bounds_u53 entries <= a;
+//   bit i of faulty_bits = (f < fault_thresholds_u53[class_out[i]]).
+// faulty_bits must hold (count + 63) / 64 words; they are zeroed first. Returns the
+// number of set faulty bits.
+size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
+                         const DrawClassifyTables& tables, uint8_t* class_out,
+                         uint64_t* faulty_bits);
 
 // The pre-session monolithic protection loop, kept verbatim: report, event log, metrics
 // and trace must equal SimulateProtectedWorkload's.
