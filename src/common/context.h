@@ -8,8 +8,8 @@
 // AttachMetrics aimed at one campaign silently bleeds into the other.
 //
 // EngineContext is the fix. It captures everything the engine needs to execute --
-// worker lanes (an owned ThreadPool), the vector level for the screening clean path and
-// the blocked fleet generator, and the optional telemetry sinks (MetricsRegistry,
+// worker lanes (an owned ThreadPool), the vector level for the fleet generator's lane
+// kernel and per-shard arch counts, and the optional telemetry sinks (MetricsRegistry,
 // TraceRecorder, EventLog, SeriesRecorder) -- and the environment (SDC_THREADS,
 // SDC_SIMD) is consulted exactly once, inside the constructor. The vector level has no
 // other source: no config struct carries one. Every pipeline entry point runs on a
@@ -51,8 +51,8 @@ class TraceRecorder;
 struct EngineOptions {
   // Worker lanes: 0 = hardware concurrency, 1 = serial on the calling thread.
   int threads = 0;
-  // Vector level for the screening clean path and the fleet generator's lane kernel;
-  // kAuto picks the best the host supports.
+  // Vector level for the fleet generator's lane kernel and per-shard arch counts; kAuto
+  // picks the best the host supports.
   SimdLevel simd = SimdLevel::kAuto;
   // Consult SDC_THREADS / SDC_SIMD (once, at construction). The sdcd daemon sets this
   // false so per-campaign lane budgets cannot be overridden by the daemon's environment.

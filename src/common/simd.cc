@@ -134,7 +134,7 @@ inline uint64_t NextOfLane(uint64_t (&s)[4][kGenerateLanes], int lane) {
   return result;
 }
 
-// Portable body of GenerateClassifyLanes: the lanes' four independent chains interleave
+// Portable body of GenerateClassifyLanes: the lanes' eight independent chains interleave
 // step by step, which is what the scalar pipeline overlaps. The CDF walk is a fixed-trip
 // branch-free count, so the only data-dependent branch is the rare fault candidate.
 size_t GenerateClassifyLanesScalar(XoshiroLanes& lanes, unsigned active, size_t begin,
@@ -170,25 +170,40 @@ size_t GenerateClassifyLanesScalar(XoshiroLanes& lanes, unsigned active, size_t 
 
 #if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
 
-// Rng::Next() on all four lanes. AVX2 has no 64-bit multiply, so x * 5 and x * 9 are
+// Writes each active lane's class bytes of one chunk of `done` <= 8 steps, packed little-
+// endian (step `step` in the low byte) in lane_bytes[lane], to class_out[lane] + step.
+inline void StorePackedClasses(const uint64_t (&lane_bytes)[kGenerateLanes], unsigned active,
+                               size_t step, size_t done,
+                               uint8_t* const class_out[kGenerateLanes]) {
+  for (unsigned rest = active; rest != 0; rest &= rest - 1) {
+    const auto lane = static_cast<unsigned>(__builtin_ctz(rest));
+    if (done == 8) {
+      std::memcpy(class_out[lane] + step, &lane_bytes[lane], 8);
+    } else {
+      std::memcpy(class_out[lane] + step, &lane_bytes[lane], done);
+    }
+  }
+}
+
+// Rng::Next() on four lanes. AVX2 has no 64-bit multiply, so x * 5 and x * 9 are
 // shift-adds (exact mod 2^64) and the rotates are shift/or pairs.
-__attribute__((target("avx2"))) inline __m256i NextLanesAvx2(__m256i& s0, __m256i& s1,
-                                                             __m256i& s2, __m256i& s3) {
-  const __m256i times5 = _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2));
+__attribute__((target("avx2"))) inline __m256i NextLanesAvx2(__m256i (&s)[4]) {
+  const __m256i times5 = _mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2));
   const __m256i rotated =
       _mm256_or_si256(_mm256_slli_epi64(times5, 7), _mm256_srli_epi64(times5, 57));
   const __m256i result = _mm256_add_epi64(rotated, _mm256_slli_epi64(rotated, 3));
-  const __m256i t = _mm256_slli_epi64(s1, 17);
-  s2 = _mm256_xor_si256(s2, s0);
-  s3 = _mm256_xor_si256(s3, s1);
-  s1 = _mm256_xor_si256(s1, s2);
-  s0 = _mm256_xor_si256(s0, s3);
-  s2 = _mm256_xor_si256(s2, t);
-  s3 = _mm256_or_si256(_mm256_slli_epi64(s3, 45), _mm256_srli_epi64(s3, 19));
+  const __m256i t = _mm256_slli_epi64(s[1], 17);
+  s[2] = _mm256_xor_si256(s[2], s[0]);
+  s[3] = _mm256_xor_si256(s[3], s[1]);
+  s[1] = _mm256_xor_si256(s[1], s[2]);
+  s[0] = _mm256_xor_si256(s[0], s[3]);
+  s[2] = _mm256_xor_si256(s[2], t);
+  s[3] = _mm256_or_si256(_mm256_slli_epi64(s[3], 45), _mm256_srli_epi64(s[3], 19));
   return result;
 }
 
-// One step per iteration for all four lanes: two draws, a shift to u53 space, and one
+// One step per iteration for all eight lanes, as two independent sets of four (lanes
+// 0-3 and 4-7, one ymm per state word each): two draws, a shift to u53 space, and one
 // compare and one subtract per CDF boundary to accumulate the class. All values are
 // < 2^54 with the sign bit clear, so the signed cmpgt is an unsigned compare here;
 // ">= bound" is "cmpgt(bound - 1)", exact even for bound == 0 (a >= 0 always holds, and
@@ -201,10 +216,13 @@ __attribute__((target("avx2"))) size_t GenerateClassifyLanesAvx2(
     XoshiroLanes& lanes, unsigned active, size_t begin, size_t end,
     const DrawClassifyTables& tables, uint8_t* const class_out[kGenerateLanes],
     unsigned* faulty_lanes) {
-  __m256i s0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[0]));
-  __m256i s1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[1]));
-  __m256i s2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[2]));
-  __m256i s3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[3]));
+  constexpr int kSets = kGenerateLanes / 4;
+  __m256i s[kSets][4];
+  for (int set = 0; set < kSets; ++set) {
+    for (int w = 0; w < 4; ++w) {
+      s[set][w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes.words[w] + 4 * set));
+    }
+  }
   const int bounds = tables.class_count - 1;
   __m256i bound_m1[kMaxClassifyClasses - 1];
   for (int j = 0; j < bounds; ++j) {
@@ -216,27 +234,37 @@ __attribute__((target("avx2"))) size_t GenerateClassifyLanesAvx2(
   size_t step = begin;
   while (step < end && faulty == 0) {
     const size_t chunk = std::min<size_t>(8, end - step);
-    __m256i packed = _mm256_setzero_si256();
+    __m256i packed[kSets];
+    __m256i cls[kSets];
+    __m256i f[kSets];
+    for (int set = 0; set < kSets; ++set) {
+      packed[set] = _mm256_setzero_si256();
+    }
     size_t done = 0;
     while (done < chunk) {
-      const __m256i a = _mm256_srli_epi64(NextLanesAvx2(s0, s1, s2, s3), 11);
-      const __m256i f = _mm256_srli_epi64(NextLanesAvx2(s0, s1, s2, s3), 11);
-      __m256i cls = _mm256_setzero_si256();
-      for (int j = 0; j < bounds; ++j) {
-        cls = _mm256_sub_epi64(cls, _mm256_cmpgt_epi64(a, bound_m1[j]));
+      const __m128i shift = _mm_cvtsi64_si128(static_cast<long long>(8 * done));
+      unsigned candidates = 0;
+      for (int set = 0; set < kSets; ++set) {
+        const __m256i a = _mm256_srli_epi64(NextLanesAvx2(s[set]), 11);
+        f[set] = _mm256_srli_epi64(NextLanesAvx2(s[set]), 11);
+        cls[set] = _mm256_setzero_si256();
+        for (int j = 0; j < bounds; ++j) {
+          cls[set] = _mm256_sub_epi64(cls[set], _mm256_cmpgt_epi64(a, bound_m1[j]));
+        }
+        packed[set] = _mm256_or_si256(packed[set], _mm256_sll_epi64(cls[set], shift));
+        candidates |= static_cast<unsigned>(_mm256_movemask_pd(
+                          _mm256_castsi256_pd(_mm256_cmpgt_epi64(max_threshold, f[set]))))
+                      << (4 * set);
       }
-      packed = _mm256_or_si256(
-          packed, _mm256_sll_epi64(cls, _mm_cvtsi64_si128(static_cast<long long>(8 * done))));
       ++done;
-      const unsigned candidates =
-          static_cast<unsigned>(_mm256_movemask_pd(
-              _mm256_castsi256_pd(_mm256_cmpgt_epi64(max_threshold, f)))) &
-          active;
+      candidates &= active;
       if (candidates != 0) {
         alignas(32) uint64_t lane_class[kGenerateLanes];
         alignas(32) uint64_t lane_fault[kGenerateLanes];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lane_class), cls);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lane_fault), f);
+        for (int set = 0; set < kSets; ++set) {
+          _mm256_store_si256(reinterpret_cast<__m256i*>(lane_class + 4 * set), cls[set]);
+          _mm256_store_si256(reinterpret_cast<__m256i*>(lane_fault + 4 * set), f[set]);
+        }
         for (unsigned rest = candidates; rest != 0; rest &= rest - 1) {
           const auto lane = static_cast<unsigned>(__builtin_ctz(rest));
           if (lane_fault[lane] < tables.fault_thresholds_u53[lane_class[lane]]) {
@@ -249,24 +277,117 @@ __attribute__((target("avx2"))) size_t GenerateClassifyLanesAvx2(
       }
     }
     alignas(32) uint64_t lane_bytes[kGenerateLanes];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_bytes), packed);
-    for (unsigned rest = active; rest != 0; rest &= rest - 1) {
-      const auto lane = static_cast<unsigned>(__builtin_ctz(rest));
-      if (done == 8) {
-        std::memcpy(class_out[lane] + step, &lane_bytes[lane], 8);
-      } else {
-        std::memcpy(class_out[lane] + step, &lane_bytes[lane], done);
-      }
+    for (int set = 0; set < kSets; ++set) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lane_bytes + 4 * set), packed[set]);
     }
+    StorePackedClasses(lane_bytes, active, step, done, class_out);
     step += done;
   }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[0]), s0);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[1]), s1);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[2]), s2);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[3]), s3);
+  for (int set = 0; set < kSets; ++set) {
+    for (int w = 0; w < 4; ++w) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes.words[w] + 4 * set), s[set][w]);
+    }
+  }
   *faulty_lanes = faulty;
   return step;
 }
+
+// GCC 12's avx512fintrin.h passes a self-initialized "undefined" vector to the masked
+// builtins behind unmasked intrinsics, which -Wmaybe-uninitialized reports at every call.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#define SDC_TARGET_AVX512 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+
+// Rng::Next() on all eight lanes. x * 5 and x * 9 stay shift-adds (vpmullq is several
+// times slower), the rotates are single vprolq, and the state update is three XOR
+// triples (vpternlogq 0x96 = a ^ b ^ c) plus one XOR, all read from the old words:
+//   s1' = s1 ^ s2 ^ s0,  s0' = s0 ^ s3 ^ s1,  s2' = s2 ^ s0 ^ (s1 << 17),
+//   s3' = rotl(s3 ^ s1, 45)
+// -- the same words Rng::Next's six sequential updates leave.
+SDC_TARGET_AVX512 inline __m512i NextLanesAvx512(__m512i (&s)[4]) {
+  const __m512i times5 = _mm512_add_epi64(s[1], _mm512_slli_epi64(s[1], 2));
+  const __m512i rotated = _mm512_rol_epi64(times5, 7);
+  const __m512i result = _mm512_add_epi64(rotated, _mm512_slli_epi64(rotated, 3));
+  const __m512i t = _mm512_slli_epi64(s[1], 17);
+  const __m512i s0 = _mm512_ternarylogic_epi64(s[0], s[3], s[1], 0x96);
+  const __m512i s1 = _mm512_ternarylogic_epi64(s[1], s[2], s[0], 0x96);
+  const __m512i s2 = _mm512_ternarylogic_epi64(s[2], s[0], t, 0x96);
+  s[3] = _mm512_rol_epi64(_mm512_xor_si512(s[3], s[1]), 45);
+  s[0] = s0;
+  s[1] = s1;
+  s[2] = s2;
+  return result;
+}
+
+// The AVX2 body's step with one zmm per state word. The CDF walk is an unsigned compare
+// into a mask register per boundary and a masked add of the step's byte unit, so each
+// lane's class accumulates straight into its byte of `packed` (a class is < 16 and never
+// carries). The quick reject is one masked compare of the active lanes against
+// fault_threshold_max_u53; the rare candidates resolve against their own class's
+// threshold in-register (vpermt2q picks each lane's entry out of the 16-entry table by
+// its class byte, the top byte of `packed` written so far).
+SDC_TARGET_AVX512 size_t GenerateClassifyLanesAvx512(
+    XoshiroLanes& lanes, unsigned active, size_t begin, size_t end,
+    const DrawClassifyTables& tables, uint8_t* const class_out[kGenerateLanes],
+    unsigned* faulty_lanes) {
+  static_assert(kGenerateLanes == 8 && kMaxClassifyClasses == 16);
+  __m512i s[4];
+  for (int w = 0; w < 4; ++w) {
+    s[w] = _mm512_load_si512(lanes.words[w]);
+  }
+  const int bounds = tables.class_count - 1;
+  __m512i bound[kMaxClassifyClasses - 1];
+  for (int j = 0; j < bounds; ++j) {
+    bound[j] = _mm512_set1_epi64(static_cast<long long>(tables.cdf_bounds_u53[j]));
+  }
+  const __m512i max_threshold =
+      _mm512_set1_epi64(static_cast<long long>(tables.fault_threshold_max_u53));
+  const __m512i thresholds_low = _mm512_loadu_si512(tables.fault_thresholds_u53);
+  const __m512i thresholds_high = _mm512_loadu_si512(tables.fault_thresholds_u53 + 8);
+  const __m512i one = _mm512_set1_epi64(1);
+  const auto live = static_cast<__mmask8>(active);
+  __mmask8 faulty = 0;
+  size_t step = begin;
+  while (step < end && faulty == 0) {
+    const size_t chunk = std::min<size_t>(8, end - step);
+    __m512i packed = _mm512_setzero_si512();
+    __m512i unit = one;  // 1 in the byte of the current step
+    size_t done = 0;
+    while (done < chunk) {
+      const __m512i a = _mm512_srli_epi64(NextLanesAvx512(s), 11);
+      const __m512i f = _mm512_srli_epi64(NextLanesAvx512(s), 11);
+      for (int j = 0; j < bounds; ++j) {
+        packed = _mm512_mask_add_epi64(packed, _mm512_cmpge_epu64_mask(a, bound[j]), packed,
+                                       unit);
+      }
+      unit = _mm512_slli_epi64(unit, 8);
+      ++done;
+      const __mmask8 candidates = _mm512_mask_cmplt_epu64_mask(live, f, max_threshold);
+      if (candidates != 0) {
+        const __m512i cls =
+            _mm512_srl_epi64(packed, _mm_cvtsi64_si128(static_cast<long long>(8 * done - 8)));
+        const __m512i threshold =
+            _mm512_permutex2var_epi64(thresholds_low, cls, thresholds_high);
+        faulty = _mm512_mask_cmplt_epu64_mask(candidates, f, threshold);
+        if (faulty != 0) {
+          break;
+        }
+      }
+    }
+    alignas(64) uint64_t lane_bytes[kGenerateLanes];
+    _mm512_store_si512(lane_bytes, packed);
+    StorePackedClasses(lane_bytes, active, step, done, class_out);
+    step += done;
+  }
+  for (int w = 0; w < 4; ++w) {
+    _mm512_store_si512(lanes.words[w], s[w]);
+  }
+  *faulty_lanes = faulty;
+  return step;
+}
+
+#undef SDC_TARGET_AVX512
+#pragma GCC diagnostic pop
 
 #endif  // SDC_SIMD_X86 && !SDC_FORCE_SCALAR
 
@@ -275,6 +396,10 @@ SimdLevel DetectBestLevel() {
   return SimdLevel::kScalar;
 #else
 #if SDC_SIMD_X86
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl")) {
+    return SimdLevel::kAVX512;
+  }
   if (__builtin_cpu_supports("avx2")) {
     return SimdLevel::kAVX2;
   }
@@ -300,7 +425,10 @@ bool LevelSupported(SimdLevel level) {
       return false;
 #endif
     case SimdLevel::kAVX2:
-      return BestSupportedSimdLevel() == SimdLevel::kAVX2;
+      return BestSupportedSimdLevel() == SimdLevel::kAVX2 ||
+             BestSupportedSimdLevel() == SimdLevel::kAVX512;
+    case SimdLevel::kAVX512:
+      return BestSupportedSimdLevel() == SimdLevel::kAVX512;
     case SimdLevel::kNEON:
 #if SDC_SIMD_NEON && !defined(SDC_FORCE_SCALAR)
       return true;
@@ -325,6 +453,8 @@ std::string SimdLevelName(SimdLevel level) {
       return "avx2";
     case SimdLevel::kNEON:
       return "neon";
+    case SimdLevel::kAVX512:
+      return "avx512";
   }
   return "?";
 }
@@ -341,6 +471,9 @@ SimdLevel ParseSimdLevel(const std::string& name) {
   }
   if (name == "neon") {
     return SimdLevel::kNEON;
+  }
+  if (name == "avx512") {
+    return SimdLevel::kAVX512;
   }
   return SimdLevel::kAuto;
 }
@@ -388,6 +521,7 @@ void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
       }
       return;
     case SimdLevel::kAVX2:
+    case SimdLevel::kAVX512:
       for (int v = 0; v < bucket_count; ++v) {
         counts[v] += CountEqualAvx2(data, size, static_cast<uint8_t>(v));
       }
@@ -414,6 +548,10 @@ size_t GenerateClassifyLanes(XoshiroLanes& lanes, unsigned active, size_t begin,
     level = BestSupportedSimdLevel();
   }
 #if SDC_SIMD_X86 && !defined(SDC_FORCE_SCALAR)
+  if (level == SimdLevel::kAVX512) {
+    return GenerateClassifyLanesAvx512(lanes, active, begin, end, tables, class_out,
+                                       faulty_lanes);
+  }
   if (level == SimdLevel::kAVX2) {
     return GenerateClassifyLanesAvx2(lanes, active, begin, end, tables, class_out,
                                      faulty_lanes);

@@ -1,19 +1,23 @@
-// Portable SIMD kernels for the packed-byte-column hot paths (docs/performance.md).
+// Portable SIMD kernels of the fleet generator (docs/performance.md).
 //
-// The screening clean-path scan reduces to one primitive: count, for every value v below
-// a small bound, how many bytes of a column equal v. CountBytesByValue implements that
-// primitive with vector compare + accumulate (SSE2/AVX2 on x86-64, NEON on aarch64) and a
-// scalar fallback; all implementations produce the same exact integer counts, so picking
-// a level is purely a speed decision and never a behavior change -- the determinism
+// Two kernels live here. GenerateClassifyLanes is the generator's hot loop: it steps
+// kGenerateLanes independent xoshiro256** streams side by side and classifies their draws
+// into arch bytes (an AVX-512 body, an AVX2 body over two register sets, and a portable
+// scalar body). CountBytesByValue turns a finished arch column into the shard's per-arch
+// counts with vector compare + accumulate (SSE2/AVX2 on x86-64, NEON on aarch64) and a
+// scalar fallback. Every level produces the same exact bytes and counts, so picking a
+// level is purely a speed decision and never a behavior change -- the determinism
 // contract of docs/parallelism.md is untouched by dispatch.
 //
 // Dispatch layers, strongest wins:
 //   1. -DSDC_FORCE_SCALAR (CMake option SDC_FORCE_SCALAR) pins every call to the scalar
 //      path at compile time -- the CI matrix leg that proves the fallback end-to-end.
-//   2. The SDC_SIMD environment variable ("scalar", "sse2", "avx2", "neon", "auto")
-//      overrides whatever the caller requested, clamped to what the host supports.
+//   2. The SDC_SIMD environment variable ("scalar", "sse2", "avx2", "avx512", "neon",
+//      "auto") overrides whatever the caller requested, clamped to what the host
+//      supports.
 //   3. The caller's requested level (EngineOptions::simd), kAuto meaning "best
-//      supported". Requests above the host's capability clamp down, never fault.
+//      supported". Requests above the host's capability clamp down, never fault; a
+//      level below the best one the host runs is honored as asked.
 
 #ifndef SDC_SRC_COMMON_SIMD_H_
 #define SDC_SRC_COMMON_SIMD_H_
@@ -30,9 +34,10 @@ enum class SimdLevel {
   kSSE2,
   kAVX2,
   kNEON,
+  kAVX512,  // AVX-512 F+BW+DQ+VL; CountBytesByValue runs its AVX2 body at this level
 };
 
-// Display name ("auto", "scalar", "sse2", "avx2", "neon").
+// Display name ("auto", "scalar", "sse2", "avx2", "neon", "avx512").
 std::string SimdLevelName(SimdLevel level);
 
 // Parses a SimdLevel name; returns kAuto for unrecognized text.
@@ -53,8 +58,8 @@ SimdLevel ClampSimdLevel(SimdLevel requested);
 SimdLevel ResolveSimdLevel(SimdLevel requested);
 
 // counts[v] += number of bytes in [data, data + size) equal to v, for v in
-// [0, bucket_count). Every byte must be < bucket_count (the screening columns guarantee
-// arch bytes < kArchCount); bucket_count must be in [1, 256]. `level` kAuto resolves via
+// [0, bucket_count). Every byte must be < bucket_count (the generator's arch columns
+// guarantee arch bytes < kArchCount); bucket_count must be in [1, 256]. `level` kAuto resolves via
 // ResolveSimdLevel; any level yields bit-identical counts. Alignment-agnostic: unaligned
 // begins and tails shorter than the vector width take the scalar epilogue.
 void CountBytesByValue(const uint8_t* data, size_t size, int bucket_count,
@@ -82,13 +87,15 @@ struct DrawClassifyTables {
 };
 
 // Independent xoshiro256** streams the lane kernel steps side by side: one per 64-bit
-// lane of an AVX2 register, so kGenerateLanes fleet shards share one register set.
-inline constexpr int kGenerateLanes = 4;
+// lane of an AVX-512 register (two AVX2 register sets), so kGenerateLanes fleet shards
+// share one register set.
+inline constexpr int kGenerateLanes = 8;
 
 // The streams' state, word-major: words[w][lane] is state word w of stream `lane` (the
-// layout of Rng::State), so one vector load brings the same word of every stream.
+// layout of Rng::State), so one zmm load (two ymm loads) brings the same word of every
+// stream.
 struct XoshiroLanes {
-  alignas(32) uint64_t words[4][kGenerateLanes];
+  alignas(64) uint64_t words[4][kGenerateLanes];
 };
 
 // The fused generate + classify kernel of the fleet generator. For each step in
@@ -105,9 +112,10 @@ struct XoshiroLanes {
 //
 // fault_threshold_max_u53 only decides which lanes are checked exactly; it never changes
 // the output while it bounds the used thresholds. All u53 values and table entries are
-// < 2^54, which is what lets the AVX2 body use signed 64-bit compares. Every level yields
-// bit-identical output: AVX2 has a vector body, every other level (SSE2 has no 64-bit
-// vector compare) runs the portable scalar body, so dispatch is never a behavior change.
+// < 2^54, which is what lets the AVX2 body use signed 64-bit compares (AVX-512 compares
+// unsigned). Every level yields bit-identical output: AVX-512 and AVX2 have vector
+// bodies, every other level (SSE2 has no 64-bit vector compare) runs the portable scalar
+// body, so dispatch is never a behavior change.
 // The scalar specification -- Rng::Next per draw, then the pair classification -- lives
 // with the tests (tests/oracle/oracle.h).
 size_t GenerateClassifyLanes(XoshiroLanes& lanes, unsigned active, size_t begin,

@@ -10,7 +10,6 @@
 #include "src/common/context.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/series.h"
 
@@ -378,14 +377,12 @@ void ScreeningPipeline::ScreenShardRangeBatch(
     const FleetShard& shard, uint64_t begin, uint64_t end,
     std::span<const ScreeningConfig> scenarios,
     const std::array<ProcessorSpec, kArchCount>& arch_specs, uint64_t sub_shard,
-    SimdLevel simd, std::span<Rng> rngs, std::span<ScreeningStats> stats,
+    std::span<Rng> rngs, std::span<ScreeningStats> stats,
     std::span<TraceDelta* const> traces) const {
   const size_t k_count = scenarios.size();
   // The one screening loop, for K = 1 as for any K. Scenario-invariant work, paid once
-  // for the whole batch: the clean-path arch histogram and the faulty-range lookup.
-  uint64_t hist[kArchCount] = {};
-  CountBytesByValue(shard.arch_bytes.data() + (begin - shard.begin), end - begin,
-                    kArchCount, hist, simd);
+  // for the whole batch: the faulty-range lookup. The clean processors need no pass at
+  // all -- StreamingScreen::ConsumeShard counts them from the shard's generation tally.
   const auto first =
       std::lower_bound(shard.faulty_serials.begin(), shard.faulty_serials.end(), begin);
   const auto last = std::lower_bound(first, shard.faulty_serials.end(), end);
@@ -396,10 +393,6 @@ void ScreeningPipeline::ScreenShardRangeBatch(
   for (size_t k = 0; k < k_count; ++k) {
     first_detection[k] = stats[k].detections.size();
     faulty_before[k] = stats[k].faulty;
-    stats[k].tested += end - begin;
-    for (int arch = 0; arch < kArchCount; ++arch) {
-      stats[k].tested_by_arch[static_cast<size_t>(arch)] += hist[arch];
-    }
     stats[k].detections.reserve(stats[k].detections.size() + shard_faulty);
   }
 
@@ -529,7 +522,6 @@ void StreamingScreen::BeginStreamWithContext(EngineContext* context,
                                              const PopulationConfig& config,
                                              uint64_t shard_count) {
   const size_t k_count = scenarios_.size();
-  simd_ = context->simd();
   // Pin the per-scenario sinks for the whole pass: the scenario's explicit sink wins,
   // the context's attachment as of *now* backs it up. ConsumeShard / EndStream only ever
   // look at these pins, so a detach on the context mid-stream can neither drop nor
@@ -572,6 +564,15 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
     }
   }
 
+  // Every processor of the shard is tested; the generator already counted them by arch,
+  // so the clean majority costs one add per arch and scenario, not a pass over the column.
+  for (ScreeningStats& stats : slot.stats) {
+    stats.tested += shard.size();
+    for (size_t arch = 0; arch < stats.tested_by_arch.size(); ++arch) {
+      stats.tested_by_arch[arch] += shard.tally->by_arch[arch];
+    }
+  }
+
   // Stream shards start at multiples of kFleetShardGrain, so b / kScreeningShardGrain is
   // the *global* screening shard index: every embedded sub-shard draws from the same
   // Rng::Fork stream whichever mode produced the shard.
@@ -584,7 +585,7 @@ void StreamingScreen::ConsumeShard(const FleetShard& shard) {
       rngs.push_back(bases_[k].Fork(screening_shard));
     }
     pipeline_->ScreenShardRangeBatch(shard, b, std::min(b + kScreeningShardGrain, shard.end),
-                                     scenarios_, arch_specs_, screening_shard, simd_, rngs,
+                                     scenarios_, arch_specs_, screening_shard, rngs,
                                      slot.stats, traces);
   }
 

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stream.h"
 #include "src/telemetry/metrics.h"
@@ -109,7 +108,7 @@ struct ScreeningConfig {
 // K screening scenarios evaluated against ONE fleet in ONE pass (docs/performance.md).
 // The paper-style sweeps (seed, cadence, stage-temperature scans) re-screen the same
 // fleet K times; batching them shares everything scenario-invariant per shard -- the
-// generated columns (streaming mode), the clean-path arch histogram, and the per-part
+// generated columns (streaming mode), the per-shard tested counts, and the per-part
 // model tables (matching counts, sorted onsets, survive terms per group of bit-identical
 // stage parameters) -- so one pass costs ~one generate-and-scan plus K probe replays.
 // Scenario k draws from Rng(scenarios[k].seed).Fork(shard), exactly the streams its
@@ -192,9 +191,9 @@ class ScreeningPipeline {
   // Screens the whole fleet: a batch of one. Per-shard stats are merged in shard order and
   // each screening shard draws from its own forked RNG stream, so the result is
   // bit-identical at any thread count. The pass runs on `context` -- its pool supplies the
-  // lanes, its vector level drives the clean-path scan, and its attached sinks back any
-  // config sink left null, pinned once at pass start (src/common/context.h). The
-  // context-free form is shorthand for a fresh EngineContext built from config.threads.
+  // lanes and its attached sinks back any config sink left null, pinned once at pass
+  // start (src/common/context.h). The context-free form is shorthand for a fresh
+  // EngineContext built from config.threads.
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config) const;
   ScreeningStats Run(const FleetPopulation& fleet, const ScreeningConfig& config,
                      EngineContext& context) const;
@@ -202,8 +201,8 @@ class ScreeningPipeline {
   // Screens the whole fleet under every scenario of `batch` in one pass over the packed
   // columns. Result k is byte-identical to Run(fleet, batch.scenarios[k]) -- counters,
   // detections, detection months bitwise, metrics deltas -- at any thread count; the
-  // clean-path scan and the per-defect suite matching are paid once per shard instead of
-  // once per scenario. Returns one ScreeningStats per scenario, in batch order. The pass
+  // faulty-range lookup and the per-defect suite matching are paid once per shard instead
+  // of once per scenario. Returns one ScreeningStats per scenario, in batch order. The pass
   // is a StreamingScreen fed FleetPopulation::Shard views on the context's pool, so both
   // execution modes share one shard loop and one ordered fold; per-scenario sinks fall
   // back to the context's attachments, pinned once at pass start. The context-free form
@@ -232,16 +231,17 @@ class ScreeningPipeline {
   // stats[k] for every scenario k (counters add, so one stats object may accumulate
   // several consecutive sub-shards), drawing scenario k's randomness only from rngs[k] in
   // serial order -- the reason each slot is byte-identical to a run of that scenario
-  // alone. Every scenario shares the SIMD arch histogram and the per-defect
-  // MatchingTestcases memo. `sub_shard` is the global screening shard index (one forked
-  // RNG stream per kScreeningShardGrain serials), stamped into every new provenance
-  // record and, when traces[k] is non-null, emitted as the sub-shard's "screen.subshard"
-  // span plus one "detection" instant per new detection. traces[k] may be null per
-  // scenario. All spans must have scenarios.size() entries.
+  // alone. Every scenario shares the faulty-range lookup and the per-defect
+  // MatchingTestcases memo. The clean processors are not scanned: the caller adds the
+  // shard's tested counts from its generation tally. `sub_shard` is the global screening
+  // shard index (one forked RNG stream per kScreeningShardGrain serials), stamped into
+  // every new provenance record and, when traces[k] is non-null, emitted as the
+  // sub-shard's "screen.subshard" span plus one "detection" instant per new detection.
+  // traces[k] may be null per scenario. All spans must have scenarios.size() entries.
   void ScreenShardRangeBatch(const FleetShard& shard, uint64_t begin, uint64_t end,
                              std::span<const ScreeningConfig> scenarios,
                              const std::array<ProcessorSpec, kArchCount>& arch_specs,
-                             uint64_t sub_shard, SimdLevel simd, std::span<Rng> rngs,
+                             uint64_t sub_shard, std::span<Rng> rngs,
                              std::span<ScreeningStats> stats,
                              std::span<TraceDelta* const> traces) const;
 
@@ -301,9 +301,8 @@ class StreamingScreen : public ShardConsumer {
   void AddObserver(ShardOutcomeObserver* observer, size_t scenario = 0);
 
   // Pins per-scenario sinks (explicit scenario sink wins, the context's attachment backs
-  // it up) and takes the context's vector level -- no environment read. A detach on the
-  // context between shards cannot drop or double-merge a delta: the pass completes
-  // against what was pinned here.
+  // it up) -- no environment read. A detach on the context between shards cannot drop or
+  // double-merge a delta: the pass completes against what was pinned here.
   void BeginStreamWithContext(EngineContext* context, const PopulationConfig& config,
                               uint64_t shard_count) override;
   void ConsumeShard(const FleetShard& shard) override;
@@ -340,7 +339,6 @@ class StreamingScreen : public ShardConsumer {
   const ScreeningPipeline* pipeline_;
   std::vector<ScreeningConfig> scenarios_;
   std::vector<Rng> bases_;  // one base RNG per scenario, forked per screening shard
-  SimdLevel simd_ = SimdLevel::kScalar;  // the context's level, taken at pass start
   std::array<ProcessorSpec, kArchCount> arch_specs_;
   std::vector<ObserverEntry> observers_;
   // Sinks pinned at pass start (scenario sink, else context attachment), used by

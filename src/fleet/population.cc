@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <span>
+#include <utility>
 
 #include "src/common/context.h"
 #include "src/common/rng.h"
@@ -111,7 +112,9 @@ void LoadLane(const XoshiroLanes& lanes, int lane, Rng& rng) {
 void GenerateGroupBlocked(const PopulationConfig& config, const GenerationPlan& plan,
                           const Rng& base, uint64_t first_shard,
                           std::span<FleetShardBuffer> buffers) {
-  std::array<Rng, kGenerateLanes> rngs{base, base, base, base};
+  std::array<Rng, kGenerateLanes> rngs = [&]<size_t... kLane>(std::index_sequence<kLane...>) {
+    return std::array<Rng, kGenerateLanes>{((void)kLane, base)...};
+  }(std::make_index_sequence<kGenerateLanes>{});
   std::array<size_t, kGenerateLanes> lengths{};
   uint8_t* class_out[kGenerateLanes] = {};
   unsigned active = 0;
@@ -252,6 +255,7 @@ FleetShard FleetPopulation::Shard(uint64_t shard) const {
   view.faulty_serials = std::span<const uint64_t>(faulty_serials_).subspan(offset, count);
   view.faulty_ranges = std::span<const DefectRange>(faulty_ranges_).subspan(offset, count);
   view.defects = defect_arena_;
+  view.tally = &shard_tallies_[shard];
   return view;
 }
 

@@ -211,8 +211,8 @@ class FleetPopulation {
   // Stream shard `shard` of this fleet ([shard, shard + 1) * kFleetShardGrain, clipped to
   // size()) as the view a FleetShardStream pass hands its consumers: column slices, the
   // shard's subrange of the faulty index, and its defect ranges at arena-global offsets
-  // into the whole defect_arena(). tally is null -- the materialized fleet keeps no
-  // per-shard tallies. This is how materialized screening rides the streaming screener.
+  // into the whole defect_arena(), and the shard's generation tally (kept per shard by
+  // Generate). This is how materialized screening rides the streaming screener.
   FleetShard Shard(uint64_t shard) const;
 
   // Assembled per-processor view for callers that want all fields together.
@@ -244,6 +244,7 @@ class FleetPopulation {
   std::vector<uint64_t> faulty_serials_;
   std::vector<DefectRange> faulty_ranges_;
   std::vector<Defect> defect_arena_;
+  std::vector<FleetShardTally> shard_tallies_;  // indexed by stream shard
   std::array<uint64_t, kArchCount> counts_by_arch_{};
 };
 

@@ -34,15 +34,15 @@ class EngineContext;
 // Borrowed view of one fleet shard, valid only for the duration of
 // ShardConsumer::ConsumeShard. Serial-indexed accessors take global serials in
 // [begin, end); the packed columns are indexed serial - begin. A FleetShardStream pass
-// hands out freshly generated shards (shard-local arena, tally set);
-// FleetPopulation::Shard hands out slices of a materialized fleet (the whole arena,
-// tally null). Consumers that only read the columns and the faulty index -- the
-// screener -- cannot tell the two apart.
+// hands out freshly generated shards (shard-local arena); FleetPopulation::Shard hands
+// out slices of a materialized fleet (the whole arena). Both carry the shard's generation
+// tally, so consumers that read the columns, the faulty index and the per-arch counts --
+// the screener -- cannot tell the two apart.
 struct FleetShard {
   uint64_t shard = 0;
   uint64_t begin = 0;
   uint64_t end = 0;
-  const FleetShardTally* tally = nullptr;     // null for materialized-fleet views
+  const FleetShardTally* tally = nullptr;     // the shard's generation counts
   std::span<const uint8_t> arch_bytes;        // indexed by serial - begin
   std::span<const uint8_t> flag_bytes;        // indexed by serial - begin
   std::span<const uint64_t> faulty_serials;   // global serials, ascending
@@ -156,7 +156,6 @@ class FleetMaterializer : public ShardConsumer {
     std::vector<uint64_t> faulty_serials;
     std::vector<DefectRange> faulty_ranges;  // shard-local offsets
     std::vector<Defect> defects;
-    std::array<uint64_t, kArchCount> by_arch{};
   };
 
   FleetPopulation* fleet_;

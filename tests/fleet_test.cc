@@ -7,6 +7,7 @@
 #include <cmath>
 #include <span>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/fleet/pipeline.h"
 #include "src/fleet/population.h"
 #include "src/fleet/stats.h"
+#include "src/fleet/stream.h"
 #include "tests/oracle/oracle.h"
 
 namespace sdc {
@@ -214,7 +216,7 @@ TEST_F(FleetTest, BlockedGeneratorMatchesReferenceAcrossThreadsAndSimd) {
   const FleetPopulation reference =
       GenerateVariant(100000, 991, /*reference=*/true, SimdLevel::kAuto, 1);
   for (const int threads : {1, 2, 8}) {
-    for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+    for (const SimdLevel simd : SupportedSimdLevels()) {
       const FleetPopulation blocked =
           GenerateVariant(100000, 991, /*reference=*/false, simd, threads);
       EXPECT_EQ(IdenticalFleets(reference, blocked), "");
@@ -265,11 +267,15 @@ TEST_F(FleetTest, GoldenFleetSnapshotHash) {
 }
 
 TEST(FleetGoldenTest, LaneGroupEdgeShapeHashes) {
-  // Digests of the fleet shapes at the edges of the four-lane generation group, taken
-  // from the one-shard-at-a-time generator before the group kernel existed: a single
-  // processor (three idle lanes), 3 shards + 5 processors (a short group whose last shard
-  // is not a multiple of the 8-step class store), and 1,000,003 processors at seed 7 (a
-  // ragged last group). Every dispatch level and thread count must land on them.
+  // Digests of the fleet shapes at the edges of the generation lane group. The first three
+  // were taken from the one-shard-at-a-time generator before the group kernel existed: a
+  // single processor (seven idle lanes), 3 shards + 5 processors (a short group whose last
+  // shard is not a multiple of the 8-step class store), and 1,000,003 processors at seed 7
+  // (a ragged last group). The last two were taken from the four-lane kernel before the
+  // group grew to eight: 13 shards + 4099 processors at seed 11 (a second group whose
+  // ragged shard sits in lane 5, the AVX2 body's second register set, with lanes 6-7
+  // idle) and 65 shards + 1 processor at seed 3 (a one-processor shard in lane 1 of the
+  // ninth group). Every dispatch level and thread count must land on them.
   struct Shape {
     uint64_t processors;
     uint64_t seed;
@@ -279,9 +285,11 @@ TEST(FleetGoldenTest, LaneGroupEdgeShapeHashes) {
       {1, PopulationConfig().seed, 0x5968986849be8dc0ull},
       {3 * kFleetShardGrain + 5, PopulationConfig().seed, 0xb6f9fb2080dc4822ull},
       {1'000'003, 7, 0x5e2e76162f37feddull},
+      {13 * kFleetShardGrain + 4099, 11, 0xd6c29b8671489266ull},
+      {65 * kFleetShardGrain + 1, 3, 0xd3031e9e666d521eull},
   };
   for (const Shape& shape : shapes) {
-    for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+    for (const SimdLevel simd : SupportedSimdLevels()) {
       for (const int threads : {1, 4}) {
         EXPECT_EQ(HashFleet(GenerateVariant(shape.processors, shape.seed,
                                             /*reference=*/false, simd, threads)),
@@ -350,7 +358,7 @@ uint64_t ReferenceShardHash(const PopulationConfig& config, uint64_t shard) {
 void ExpectLaneGroupsMatchReference(const PopulationConfig& config) {
   EngineContext reference_context(EngineOptions{.threads = 1});
   const FleetPopulation reference = ReferenceGenerate(config, reference_context);
-  for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+  for (const SimdLevel simd : SupportedSimdLevels()) {
     for (const int threads : {1, 4}) {
       EngineContext context(EngineOptions{.threads = threads, .simd = simd});
       EXPECT_EQ(IdenticalFleets(reference, FleetPopulation::Generate(config, context)), "")
@@ -360,16 +368,16 @@ void ExpectLaneGroupsMatchReference(const PopulationConfig& config) {
 }
 
 TEST(LaneGroupTest, ShardBytesDoNotDependOnTheGroup) {
-  // 6 shards + 5 processors, every (first shard, group size) window at every level:
+  // 8 shards + 5 processors, every (first shard, group size) window at every level:
   // groups that do not start at a multiple of kGenerateLanes, short groups with idle
   // lanes, and the ragged last shard in every lane position.
-  const PopulationConfig config = HitHeavyConfig(6 * kFleetShardGrain + 5, 2024);
-  const uint64_t shards = 7;
+  const PopulationConfig config = HitHeavyConfig(8 * kFleetShardGrain + 5, 2024);
+  const uint64_t shards = 9;
   std::vector<uint64_t> expected;
   for (uint64_t shard = 0; shard < shards; ++shard) {
     expected.push_back(ReferenceShardHash(config, shard));
   }
-  for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAuto}) {
+  for (const SimdLevel simd : SupportedSimdLevels()) {
     EngineContext context(EngineOptions{.threads = 1, .simd = simd});
     const GenerationPlan plan = GenerationPlan::Build(config, context);
     ASSERT_TRUE(plan.blocked);
@@ -422,12 +430,56 @@ TEST(LaneGroupTest, GaussianPartnerCachedByOneHitIsConsumedByTheNext) {
 }
 
 TEST(LaneGroupTest, IdleAndFinishedLanesJunkHitsAreIgnored) {
-  // One shard of 100 processors leaves three lanes idle for 100 steps, and 2 shards + 5
-  // processors leave the ragged lane stepping 8187 steps past its shard's end. At a
-  // one-in-five fault rate those lanes' junk draws fall below the threshold thousands of
-  // times (none at all in 100 steps has odds of about 2e-10 per lane); none may surface.
+  // One shard of 100 processors leaves seven lanes idle for 100 steps, and 2 shards + 5
+  // processors leave the ragged lane stepping 8187 steps past its shard's end; 5 shards +
+  // 5 processors put the ragged lane in the upper half of the group with lanes 6-7 idle.
+  // At a one-in-five fault rate those lanes' junk draws fall below the threshold
+  // thousands of times (none at all in 100 steps has odds of about 2e-10 per lane); none
+  // may surface.
   ExpectLaneGroupsMatchReference(HitHeavyConfig(100, 17));
   ExpectLaneGroupsMatchReference(HitHeavyConfig(2 * kFleetShardGrain + 5, 19));
+  ExpectLaneGroupsMatchReference(HitHeavyConfig(5 * kFleetShardGrain + 5, 23));
+}
+
+// Records the generation tally each streamed shard carries.
+class TallyRecorder : public ShardConsumer {
+ public:
+  void BeginStream(const PopulationConfig& /*config*/, uint64_t shard_count) override {
+    tallies.assign(shard_count, FleetShardTally{});
+  }
+  void ConsumeShard(const FleetShard& shard) override { tallies[shard.shard] = *shard.tally; }
+
+  std::vector<FleetShardTally> tallies;
+};
+
+TEST(LaneGroupTest, MaterializedShardTalliesEqualTheStreams) {
+  // Screening counts a shard's tested processors from its tally alone, in both modes, so
+  // FleetPopulation::Shard must carry exactly the tally the stream handed out -- and its
+  // by_arch must count the shard's own arch column.
+  PopulationConfig config;
+  config.processor_count = 13 * kFleetShardGrain + 4099;
+  config.seed = 11;
+  EngineContext context(EngineOptions{.threads = 4});
+  const FleetPopulation fleet = FleetPopulation::Generate(config, context);
+  TallyRecorder recorder;
+  FleetShardStream(config).Drive({&recorder}, context);
+  ASSERT_EQ(recorder.tallies.size(), 14u);
+  for (uint64_t shard = 0; shard < recorder.tallies.size(); ++shard) {
+    const FleetShard view = fleet.Shard(shard);
+    ASSERT_NE(view.tally, nullptr);
+    const FleetShardTally& streamed = recorder.tallies[shard];
+    std::array<uint64_t, kArchCount> counted{};
+    for (const uint8_t arch : view.arch_bytes) {
+      ++counted[arch];
+    }
+    EXPECT_EQ(view.tally->by_arch, streamed.by_arch) << "shard " << shard;
+    EXPECT_EQ(view.tally->by_arch, counted) << "shard " << shard;
+    EXPECT_EQ(view.tally->defects_by_arch, streamed.defects_by_arch) << "shard " << shard;
+    EXPECT_EQ(view.tally->faulty, streamed.faulty) << "shard " << shard;
+    EXPECT_EQ(view.tally->faulty, view.faulty_serials.size()) << "shard " << shard;
+    EXPECT_EQ(view.tally->defects, streamed.defects) << "shard " << shard;
+    EXPECT_EQ(view.tally->undetectable, streamed.undetectable) << "shard " << shard;
+  }
 }
 
 TEST_F(FleetTest, ScreeningStageSplitMatchesTable1Shape) {

@@ -59,6 +59,17 @@ size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
   return faulty;
 }
 
+std::vector<SimdLevel> SupportedSimdLevels() {
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSSE2, SimdLevel::kAVX2,
+                                SimdLevel::kAVX512, SimdLevel::kNEON}) {
+    if (ClampSimdLevel(level) == level) {
+      levels.push_back(level);
+    }
+  }
+  return levels;
+}
+
 FleetPopulation ReferenceGenerate(const PopulationConfig& config, EngineContext& context) {
   // The production plan with the lane kernel switched off: GenerateFleetShardGroup then
   // runs its per-processor loop, the path degenerate configs take in production, one

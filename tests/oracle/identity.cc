@@ -258,6 +258,30 @@ std::string IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b) 
                     b.CountByArch(arch));
     }
   }
+  for (uint64_t shard = 0; shard * kFleetShardGrain < a.size(); ++shard) {
+    const FleetShardTally& x = *a.Shard(shard).tally;
+    const FleetShardTally& y = *b.Shard(shard).tally;
+    const std::string where = "Shard(" + std::to_string(shard) + ").tally->";
+    if (x.faulty != y.faulty) {
+      return Differ(where + "faulty", x.faulty, y.faulty);
+    }
+    if (x.defects != y.defects) {
+      return Differ(where + "defects", x.defects, y.defects);
+    }
+    if (x.undetectable != y.undetectable) {
+      return Differ(where + "undetectable", x.undetectable, y.undetectable);
+    }
+    for (size_t arch = 0; arch < x.by_arch.size(); ++arch) {
+      if (x.by_arch[arch] != y.by_arch[arch]) {
+        return Differ(where + "by_arch[" + std::to_string(arch) + "]", x.by_arch[arch],
+                      y.by_arch[arch]);
+      }
+      if (x.defects_by_arch[arch] != y.defects_by_arch[arch]) {
+        return Differ(where + "defects_by_arch[" + std::to_string(arch) + "]",
+                      x.defects_by_arch[arch], y.defects_by_arch[arch]);
+      }
+    }
+  }
   if (a.defect_arena().size() != b.defect_arena().size()) {
     return Differ("defect_arena().size()", a.defect_arena().size(),
                   b.defect_arena().size());

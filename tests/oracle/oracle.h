@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/context.h"
 #include "src/common/rng.h"
@@ -69,6 +70,10 @@ size_t ClassifyDrawPairs(const uint64_t* draws, size_t count,
                          const DrawClassifyTables& tables, uint8_t* class_out,
                          uint64_t* faulty_bits);
 
+// Every SimdLevel this build can execute on this host, scalar first: the dispatch levels
+// the equivalence suites sweep, so each vector body runs in some test.
+std::vector<SimdLevel> SupportedSimdLevels();
+
 // The pre-session monolithic protection loop, kept verbatim: report, event log, metrics
 // and trace must equal SimulateProtectedWorkload's.
 ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachine& machine,
@@ -83,8 +88,8 @@ ProtectionReport SimulateProtectedWorkloadReference(Farron& farron, FaultyMachin
 // IdenticalStats: every counter, every detection in order (months compared bitwise), and
 // every provenance record (doubles compared bitwise).
 std::string IdenticalStats(const ScreeningStats& a, const ScreeningStats& b);
-// IdenticalFleets: packed columns, the faulty index, arena ranges, per-arch tallies, and
-// every Defect field (doubles compared bitwise).
+// IdenticalFleets: packed columns, the faulty index, arena ranges, per-arch counts, every
+// shard's generation tally, and every Defect field (doubles compared bitwise).
 std::string IdenticalFleets(const FleetPopulation& a, const FleetPopulation& b);
 
 }  // namespace sdc

@@ -1,8 +1,9 @@
 // Tests of the one-stream scalar specification (oracle.h: FillBlock, Skip,
 // ClassifyDrawPairs) and of the fleet generator's lane kernel against it
 // (GenerateClassifyLanes, src/common/simd.h). The contract is exact equality at every
-// dispatch level this host runs: four lanes stepped together must draw, classify and stop
-// exactly as four separate streams run through FillBlock + ClassifyDrawPairs would.
+// dispatch level this host runs: eight lanes stepped together must draw, classify and stop
+// exactly as eight separate streams run through FillBlock + ClassifyDrawPairs would --
+// lanes 4-7 included, which the AVX2 body steps in its second register set.
 // Shapes a sampled stream rarely hits -- draws on a bound or threshold, several lanes
 // faulty at one step, faults on idle lanes -- come from streams whose first two draws are
 // chosen (StreamDrawing).
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,17 +25,16 @@
 namespace sdc {
 namespace {
 
-// Every level this build can execute, scalar always included.
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  const SimdLevel best = BestSupportedSimdLevel();
-  if (best == SimdLevel::kAVX2) {
-    levels.push_back(SimdLevel::kSSE2);
-  }
-  if (best != SimdLevel::kScalar) {
-    levels.push_back(best);
-  }
-  return levels;
+constexpr unsigned kAllLanes = (1u << kGenerateLanes) - 1;
+
+using LaneStreams = std::array<Rng, kGenerateLanes>;
+
+// One stream per lane, lane `lane` being stream_of(lane).
+template <typename StreamOf>
+LaneStreams StreamsOf(StreamOf stream_of) {
+  return [&]<size_t... kLane>(std::index_sequence<kLane...>) {
+    return LaneStreams{stream_of(kLane)...};
+  }(std::make_index_sequence<kGenerateLanes>{});
 }
 
 // ClassifyDrawPairs' contract written independently of its branchless form.
@@ -100,7 +101,7 @@ Rng StreamDrawing(uint64_t a, uint64_t f) {
   return rng;
 }
 
-XoshiroLanes LanesOf(const std::array<Rng, kGenerateLanes>& streams) {
+XoshiroLanes LanesOf(const LaneStreams& streams) {
   XoshiroLanes lanes;
   for (int lane = 0; lane < kGenerateLanes; ++lane) {
     const Rng::StateWords words = streams[static_cast<size_t>(lane)].State();
@@ -142,7 +143,7 @@ LaneOutput SpecOutput(Rng stream, size_t steps, const DrawClassifyTables& tables
 // The kernel with every lane active over `steps` steps, resumed after every stop as the
 // fleet generator resumes it.
 std::array<LaneOutput, kGenerateLanes> KernelOutput(
-    const std::array<Rng, kGenerateLanes>& streams, size_t steps,
+    const LaneStreams& streams, size_t steps,
     const DrawClassifyTables& tables, SimdLevel level) {
   std::array<LaneOutput, kGenerateLanes> out;
   uint8_t* class_out[kGenerateLanes];
@@ -157,7 +158,8 @@ std::array<LaneOutput, kGenerateLanes> KernelOutput(
   while (step < steps) {
     unsigned faulty = 0xdead;
     const size_t next =
-        GenerateClassifyLanes(lanes, 0xf, step, steps, tables, class_out, &faulty, level);
+        GenerateClassifyLanes(lanes, kAllLanes, step, steps, tables, class_out, &faulty,
+                              level);
     EXPECT_GT(next, step);
     EXPECT_TRUE(faulty != 0 || next == steps) << "stopped early without a hit";
     step = next;
@@ -173,9 +175,9 @@ std::array<LaneOutput, kGenerateLanes> KernelOutput(
   return out;
 }
 
-void ExpectKernelMatchesSpec(const std::array<Rng, kGenerateLanes>& streams, size_t steps,
+void ExpectKernelMatchesSpec(const LaneStreams& streams, size_t steps,
                              const DrawClassifyTables& tables, const char* what) {
-  for (const SimdLevel level : SupportedLevels()) {
+  for (const SimdLevel level : SupportedSimdLevels()) {
     const auto actual = KernelOutput(streams, steps, tables, level);
     for (int lane = 0; lane < kGenerateLanes; ++lane) {
       const LaneOutput expected = SpecOutput(streams[static_cast<size_t>(lane)], steps, tables);
@@ -266,9 +268,9 @@ TEST(SimdClassifyTest, AllLevelsMatchNaiveOnAdversarialShapes) {
     EXPECT_EQ(actual_class, expected_class) << "count=" << count;
     EXPECT_EQ(actual_bits, expected_bits) << "count=" << count;
 
-    // The same stream in lane 0 of the kernel, beside three others.
-    const std::array<Rng, kGenerateLanes> streams = {Rng(count * 977 + 5), Rng(count + 1),
-                                                     Rng(count + 2), Rng(count + 3)};
+    // The same stream in lane 0 of the kernel, beside seven others.
+    const LaneStreams streams = StreamsOf(
+        [&](size_t lane) { return lane == 0 ? Rng(count * 977 + 5) : Rng(count + lane); });
     ExpectKernelMatchesSpec(streams, count, tables, "adversarial");
   }
 }
@@ -282,7 +284,7 @@ TEST(SimdClassifyTest, BoundaryDrawsClassifyExactly) {
       MakeTables(2, std::vector<uint64_t>{bound},
                  std::vector<uint64_t>{threshold, threshold});
   const uint64_t max_u53 = (uint64_t{1} << 53) - 1;
-  const uint64_t pairs[kGenerateLanes][2] = {
+  const uint64_t pairs[][2] = {
       {(bound - 1) << 11, (threshold - 1) << 11},  // class 0, faulty
       {bound << 11, threshold << 11},              // class 1, clean
       {0, 0},                                      // class 0, faulty iff threshold > 0
@@ -298,12 +300,11 @@ TEST(SimdClassifyTest, BoundaryDrawsClassifyExactly) {
               NaiveClassify(&pair[0], 1, tables, &cls, &bits));
   }
   // Every pair in every lane position.
-  for (int rotation = 0; rotation < kGenerateLanes; ++rotation) {
-    std::array<Rng, kGenerateLanes> streams = {Rng(0), Rng(0), Rng(0), Rng(0)};
-    for (int lane = 0; lane < kGenerateLanes; ++lane) {
-      const auto& pair = pairs[(lane + rotation) % kGenerateLanes];
-      streams[static_cast<size_t>(lane)] = StreamDrawing(pair[0], pair[1]);
-    }
+  for (size_t rotation = 0; rotation < kGenerateLanes; ++rotation) {
+    const LaneStreams streams = StreamsOf([&](size_t lane) {
+      const auto& pair = pairs[(lane + rotation) % std::size(pairs)];
+      return StreamDrawing(pair[0], pair[1]);
+    });
     ExpectKernelMatchesSpec(streams, 1, tables, "boundary");
   }
 }
@@ -337,11 +338,10 @@ TEST(SimdClassifyTest, QuickRejectCandidatesResolveAgainstTheirOwnClass) {
   for (const uint64_t max_bound : {high, kClassifyNever}) {  // tight, and no reject
     tables.fault_threshold_max_u53 = max_bound;
     for (size_t first = 0; first < pairs.size(); ++first) {
-      std::array<Rng, kGenerateLanes> streams = {Rng(0), Rng(0), Rng(0), Rng(0)};
-      for (size_t lane = 0; lane < streams.size(); ++lane) {
+      const LaneStreams streams = StreamsOf([&](size_t lane) {
         const auto& pair = pairs[(first + lane) % pairs.size()];
-        streams[lane] = StreamDrawing(pair[0], pair[1]);
-      }
+        return StreamDrawing(pair[0], pair[1]);
+      });
       ExpectKernelMatchesSpec(streams, 1, tables, "quick reject");
     }
   }
@@ -363,46 +363,50 @@ TEST(SimdClassifyTest, SingleClassAndExtremes) {
     for (uint8_t cls : classes) {
       ASSERT_EQ(cls, 0);
     }
-    const std::array<Rng, kGenerateLanes> streams = {Rng(61), Rng(62), Rng(63), Rng(64)};
+    const LaneStreams streams = StreamsOf([](size_t lane) { return Rng(61 + lane); });
     ExpectKernelMatchesSpec(streams, 100, tables, "single class");
   }
 }
 
 TEST(SimdLaneKernelTest, SeveralLanesFaultyAtOneStepStopTogether) {
-  // Lanes 0, 2 and 3 are faulty at step 5, lane 1 is clean: one stop reports all three,
-  // and each stream sits just past that step's two draws.
+  // The chosen lanes are faulty at step 5 and the rest clean: one stop reports exactly
+  // the faulty set, and every stream sits just past that step's two draws. The sets cover
+  // both halves of the lane group (the AVX2 body's two register sets) alone and together.
   const uint64_t bound = uint64_t{1} << 52;
   const uint64_t threshold = uint64_t{1} << 40;
   const DrawClassifyTables tables =
       MakeTables(2, std::vector<uint64_t>{bound}, std::vector<uint64_t>{threshold, threshold});
   const uint64_t faulty_pair[2] = {(bound + 7) << 11, (threshold - 1) << 11};
   const uint64_t clean_pair[2] = {3 << 11, threshold << 11};
-  for (const SimdLevel level : SupportedLevels()) {
-    std::array<Rng, kGenerateLanes> streams = {Rng(0), Rng(0), Rng(0), Rng(0)};
-    for (size_t lane = 0; lane < streams.size(); ++lane) {
-      const uint64_t* pair = lane == 1 ? clean_pair : faulty_pair;
-      streams[lane] = StreamDrawing(pair[0], pair[1]);
-    }
-    XoshiroLanes lanes = LanesOf(streams);
-    std::array<std::vector<uint8_t>, kGenerateLanes> classes;
-    uint8_t* class_out[kGenerateLanes];
-    for (int lane = 0; lane < kGenerateLanes; ++lane) {
-      classes[static_cast<size_t>(lane)].assign(16, 0xee);
-      class_out[lane] = classes[static_cast<size_t>(lane)].data();
-    }
-    // Starting at step 5, the crafted first draws land at index 5.
-    unsigned faulty = 0;
-    EXPECT_EQ(GenerateClassifyLanes(lanes, 0xf, 5, 16, tables, class_out, &faulty, level),
-              6u)
-        << SimdLevelName(level);
-    EXPECT_EQ(faulty, 0b1101u) << SimdLevelName(level);
-    for (int lane = 0; lane < kGenerateLanes; ++lane) {
-      const auto index = static_cast<size_t>(lane);
-      EXPECT_EQ(classes[index][5], lane == 1 ? 0 : 1) << SimdLevelName(level);
-      EXPECT_EQ(classes[index][6], 0xee) << "stored past the stop, " << SimdLevelName(level);
-      Rng expected = streams[index];
-      Skip(expected, 2);
-      EXPECT_EQ(StateOfLane(lanes, lane), expected.State()) << SimdLevelName(level);
+  for (const unsigned faulty_set : {kAllLanes & ~0b10u, 0b10100000u, 0b10000000u, 0b00010001u}) {
+    const LaneStreams streams = StreamsOf([&](size_t lane) {
+      const uint64_t* pair = (faulty_set >> lane & 1u) != 0 ? faulty_pair : clean_pair;
+      return StreamDrawing(pair[0], pair[1]);
+    });
+    for (const SimdLevel level : SupportedSimdLevels()) {
+      XoshiroLanes lanes = LanesOf(streams);
+      std::array<std::vector<uint8_t>, kGenerateLanes> classes;
+      uint8_t* class_out[kGenerateLanes];
+      for (int lane = 0; lane < kGenerateLanes; ++lane) {
+        classes[static_cast<size_t>(lane)].assign(16, 0xee);
+        class_out[lane] = classes[static_cast<size_t>(lane)].data();
+      }
+      // Starting at step 5, the crafted first draws land at index 5.
+      unsigned faulty = 0;
+      EXPECT_EQ(
+          GenerateClassifyLanes(lanes, kAllLanes, 5, 16, tables, class_out, &faulty, level),
+          6u)
+          << SimdLevelName(level);
+      EXPECT_EQ(faulty, faulty_set) << SimdLevelName(level);
+      for (int lane = 0; lane < kGenerateLanes; ++lane) {
+        const auto index = static_cast<size_t>(lane);
+        EXPECT_EQ(classes[index][5], (faulty_set >> lane & 1u) != 0 ? 1 : 0)
+            << "lane " << lane << ", " << SimdLevelName(level);
+        EXPECT_EQ(classes[index][6], 0xee) << "stored past the stop, " << SimdLevelName(level);
+        Rng expected = streams[index];
+        Skip(expected, 2);
+        EXPECT_EQ(StateOfLane(lanes, lane), expected.State()) << SimdLevelName(level);
+      }
     }
   }
 }
@@ -410,36 +414,41 @@ TEST(SimdLaneKernelTest, SeveralLanesFaultyAtOneStepStopTogether) {
 TEST(SimdLaneKernelTest, IdleLanesStoreNothingAndTheirFaultsAreIgnored) {
   // Class 1 is always faulty and class 0 never. The idle lanes draw class 1 -- a junk hit
   // at step 0 -- while the one active lane draws class 0: the kernel must run to the end
-  // without a stop and leave the idle lanes' outputs untouched.
+  // without a stop and leave the idle lanes' outputs untouched. The active lane sits in
+  // the lower half, then in the upper half of the group.
   const uint64_t bound = uint64_t{1} << 52;
   const DrawClassifyTables tables = MakeTables(
       2, std::vector<uint64_t>{bound}, std::vector<uint64_t>{0, kClassifyNever});
-  for (const SimdLevel level : SupportedLevels()) {
-    std::array<Rng, kGenerateLanes> streams = {StreamDrawing(0, 0), StreamDrawing(0, 0),
-                                               StreamDrawing(0, 0), StreamDrawing(0, 0)};
-    for (size_t lane = 1; lane < streams.size(); ++lane) {
-      streams[lane] = StreamDrawing(bound << 11, 0);
+  for (const int active_lane : {0, 5}) {
+    const unsigned active = 1u << active_lane;
+    const LaneStreams streams = StreamsOf([&](size_t lane) {
+      return static_cast<int>(lane) == active_lane ? StreamDrawing(0, 0)
+                                                   : StreamDrawing(bound << 11, 0);
+    });
+    for (const SimdLevel level : SupportedSimdLevels()) {
+      XoshiroLanes lanes = LanesOf(streams);
+      std::array<std::vector<uint8_t>, kGenerateLanes> classes;
+      uint8_t* class_out[kGenerateLanes];
+      for (int lane = 0; lane < kGenerateLanes; ++lane) {
+        classes[static_cast<size_t>(lane)].assign(1, 0xee);
+        class_out[lane] = classes[static_cast<size_t>(lane)].data();
+      }
+      unsigned faulty = 0xdead;
+      EXPECT_EQ(GenerateClassifyLanes(lanes, active, 0, 1, tables, class_out, &faulty, level),
+                1u)
+          << SimdLevelName(level);
+      EXPECT_EQ(faulty, 0u) << SimdLevelName(level);
+      for (int lane = 0; lane < kGenerateLanes; ++lane) {
+        EXPECT_EQ(classes[static_cast<size_t>(lane)][0], lane == active_lane ? 0 : 0xee)
+            << "lane " << lane << ", " << SimdLevelName(level);
+      }
+      // With every lane active the same draws stop at step 0 on all the other lanes.
+      lanes = LanesOf(streams);
+      EXPECT_EQ(
+          GenerateClassifyLanes(lanes, kAllLanes, 0, 1, tables, class_out, &faulty, level),
+          1u);
+      EXPECT_EQ(faulty, kAllLanes & ~active) << SimdLevelName(level);
     }
-    XoshiroLanes lanes = LanesOf(streams);
-    std::array<std::vector<uint8_t>, kGenerateLanes> classes;
-    uint8_t* class_out[kGenerateLanes];
-    for (int lane = 0; lane < kGenerateLanes; ++lane) {
-      classes[static_cast<size_t>(lane)].assign(1, 0xee);
-      class_out[lane] = classes[static_cast<size_t>(lane)].data();
-    }
-    unsigned faulty = 0xdead;
-    EXPECT_EQ(GenerateClassifyLanes(lanes, 0b0001, 0, 1, tables, class_out, &faulty, level),
-              1u)
-        << SimdLevelName(level);
-    EXPECT_EQ(faulty, 0u) << SimdLevelName(level);
-    EXPECT_EQ(classes[0][0], 0) << SimdLevelName(level);
-    for (size_t lane = 1; lane < classes.size(); ++lane) {
-      EXPECT_EQ(classes[lane][0], 0xee) << "idle lane stored, " << SimdLevelName(level);
-    }
-    // With every lane active the same draws stop at step 0 on lanes 1-3.
-    lanes = LanesOf(streams);
-    EXPECT_EQ(GenerateClassifyLanes(lanes, 0xf, 0, 1, tables, class_out, &faulty, level), 1u);
-    EXPECT_EQ(faulty, 0b1110u) << SimdLevelName(level);
   }
 }
 

@@ -159,7 +159,7 @@ TEST_F(ScreeningModelTest, IdenticalStatsNamesTheFirstMismatch) {
 //
 // The contract (docs/performance.md): every slot of a batched run is byte-identical to
 // running that scenario alone -- scenario k draws only from Rng(seed_k).Fork(shard), so
-// sharing the clean-path histogram and the MatchingTestcases memo across scenarios must
+// sharing the per-shard tested counts and the MatchingTestcases memo across scenarios must
 // not move a bit.
 
 // K scenarios with distinct seeds and cadences (the spread the bench uses too), so the

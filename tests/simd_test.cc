@@ -1,11 +1,11 @@
-// Tests for the portable SIMD byte-counting kernel (src/common/simd.h) and its wiring
-// into the screening clean path (docs/performance.md). The contract is exact integer
-// equality: every dispatch level -- scalar, SSE2, AVX2, NEON -- produces identical
-// counts on every input shape (unaligned begins, tails shorter than a vector, the
-// 255-block accumulator flush boundary), and pinning the screening config or the
-// SDC_SIMD environment variable to the scalar fallback must not move a bit of fleet
-// output, even on adversarial fleets (all-faulty, zero-faulty, sizes that straddle
-// shard boundaries).
+// Tests for the portable SIMD byte-counting kernel (src/common/simd.h), the level
+// dispatch, and the vector kernels' wiring into generate -> screen (docs/performance.md).
+// The contract is exact integer equality: every dispatch level -- scalar, SSE2, AVX2,
+// AVX-512, NEON -- produces identical counts on every input shape (unaligned begins, tails
+// shorter than a vector, the 255-block accumulator flush boundary), and pinning the
+// engine context or the SDC_SIMD environment variable to the scalar fallback must not
+// move a bit of a generated and screened fleet, even on adversarial fleets (all-faulty,
+// zero-faulty, sizes that straddle shard boundaries).
 
 #include <algorithm>
 #include <cstdint>
@@ -52,19 +52,6 @@ std::vector<uint64_t> KernelCounts(const uint8_t* data, size_t size, int bucket_
   return counts;
 }
 
-// Every level this build can execute, scalar always included.
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  const SimdLevel best = BestSupportedSimdLevel();
-  if (best == SimdLevel::kAVX2) {
-    levels.push_back(SimdLevel::kSSE2);
-  }
-  if (best != SimdLevel::kScalar) {
-    levels.push_back(best);
-  }
-  return levels;
-}
-
 TEST(SimdKernelTest, AllLevelsMatchNaiveOnAdversarialShapes) {
   // Sizes bracketing every special case: empty, sub-vector tails, exact vector
   // multiples, the 255-iteration accumulator flush for 16- and 32-byte lanes
@@ -77,7 +64,7 @@ TEST(SimdKernelTest, AllLevelsMatchNaiveOnAdversarialShapes) {
           MakeColumn(size, bucket_count, /*seed=*/size * 131 + bucket_count);
       const std::vector<uint64_t> expected =
           NaiveCounts(column.data(), size, bucket_count);
-      for (const SimdLevel level : SupportedLevels()) {
+      for (const SimdLevel level : SupportedSimdLevels()) {
         EXPECT_EQ(KernelCounts(column.data(), size, bucket_count, level), expected)
             << "size=" << size << " buckets=" << bucket_count
             << " level=" << SimdLevelName(level);
@@ -94,7 +81,7 @@ TEST(SimdKernelTest, UnalignedBeginsCountIdentically) {
     const uint8_t* begin = column.data() + offset;
     const size_t size = column.size() - offset - 5;  // unaligned tail too
     const std::vector<uint64_t> expected = NaiveCounts(begin, size, 9);
-    for (const SimdLevel level : SupportedLevels()) {
+    for (const SimdLevel level : SupportedSimdLevels()) {
       EXPECT_EQ(KernelCounts(begin, size, 9, level), expected)
           << "offset=" << offset << " level=" << SimdLevelName(level);
     }
@@ -102,10 +89,9 @@ TEST(SimdKernelTest, UnalignedBeginsCountIdentically) {
 }
 
 TEST(SimdKernelTest, AccumulatesIntoExistingCounts) {
-  // CountBytesByValue adds; the screening loop relies on that when one stats object
-  // accumulates several consecutive shards.
+  // CountBytesByValue adds into the caller's counts rather than overwriting them.
   const std::vector<uint8_t> column = MakeColumn(1000, 4, /*seed=*/7);
-  for (const SimdLevel level : SupportedLevels()) {
+  for (const SimdLevel level : SupportedSimdLevels()) {
     std::vector<uint64_t> counts = {100, 200, 300, 400};
     CountBytesByValue(column.data(), column.size(), 4, counts.data(), level);
     const std::vector<uint64_t> fresh = NaiveCounts(column.data(), column.size(), 4);
@@ -117,7 +103,7 @@ TEST(SimdKernelTest, AccumulatesIntoExistingCounts) {
 
 TEST(SimdLevelTest, NamesRoundTrip) {
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSSE2, SimdLevel::kAVX2,
-                                SimdLevel::kNEON}) {
+                                SimdLevel::kNEON, SimdLevel::kAVX512}) {
     EXPECT_EQ(ParseSimdLevel(SimdLevelName(level)), level);
   }
   EXPECT_EQ(ParseSimdLevel("auto"), SimdLevel::kAuto);
@@ -136,6 +122,29 @@ TEST(SimdLevelTest, ResolveClampsToSupported) {
             true);
 }
 
+TEST(SimdLevelTest, LevelsBelowTheBestAreHonored) {
+  // A host that runs AVX-512 also runs AVX2 and SSE2: asking for a lower level must get
+  // exactly that level (so SDC_SIMD=avx2 runs the AVX2 bodies), never the best one.
+  const SimdLevel best = BestSupportedSimdLevel();
+  if (best == SimdLevel::kAVX512) {
+    EXPECT_EQ(ClampSimdLevel(SimdLevel::kAVX2), SimdLevel::kAVX2);
+    EXPECT_EQ(ClampSimdLevel(SimdLevel::kSSE2), SimdLevel::kSSE2);
+  }
+  if (best == SimdLevel::kAVX2) {
+    EXPECT_EQ(ClampSimdLevel(SimdLevel::kAVX512), SimdLevel::kAVX2);
+    EXPECT_EQ(ClampSimdLevel(SimdLevel::kSSE2), SimdLevel::kSSE2);
+  }
+  ASSERT_EQ(setenv("SDC_SIMD", "avx2", /*overwrite=*/1), 0);
+  const SimdLevel from_env = ResolveSimdLevel(SimdLevel::kAuto);
+  ASSERT_EQ(unsetenv("SDC_SIMD"), 0);
+  EXPECT_EQ(from_env, best == SimdLevel::kAVX2 || best == SimdLevel::kAVX512
+                          ? SimdLevel::kAVX2
+                          : best);
+  for (const SimdLevel level : SupportedSimdLevels()) {
+    EXPECT_EQ(ClampSimdLevel(level), level) << SimdLevelName(level);
+  }
+}
+
 TEST(SimdLevelTest, EnvironmentVariableForcesLevel) {
   // SDC_SIMD wins over the config request: the CI scalar leg and ad-hoc triage both
   // rely on flipping the dispatch without a rebuild.
@@ -150,7 +159,7 @@ TEST(SimdLevelTest, EnvironmentVariableForcesLevel) {
   ASSERT_EQ(unsetenv("SDC_SIMD"), 0);
 }
 
-// ----- screening integration: dispatch level must never move a bit ------------------
+// ----- generate -> screen integration: dispatch level must never move a bit ---------
 
 class SimdScreeningTest : public ::testing::Test {
  protected:
@@ -160,10 +169,12 @@ class SimdScreeningTest : public ::testing::Test {
     suite_ = nullptr;
   }
 
-  static ScreeningStats Screen(const FleetPopulation& fleet, SimdLevel simd,
+  // Generates the fleet and screens it on one context at `simd`.
+  static ScreeningStats Screen(const PopulationConfig& config, SimdLevel simd,
                                int threads = 2) {
     ScreeningPipeline pipeline(suite_);
     EngineContext context(EngineOptions{.threads = threads, .simd = simd});
+    const FleetPopulation fleet = FleetPopulation::Generate(config, context);
     return pipeline.Run(fleet, ScreeningConfig{}, context);
   }
 
@@ -177,72 +188,67 @@ class SimdScreeningTest : public ::testing::Test {
 TestSuite* SimdScreeningTest::suite_ = nullptr;
 
 TEST_F(SimdScreeningTest, ScalarAndVectorScreenIdentically) {
-  // 4097 processors: spans two screening shards with a 1-processor tail, so the vector
-  // path sees both a full unaligned column and a degenerate one.
+  // 4097 processors: spans two screening shards with a 1-processor tail, and one
+  // generation shard that leaves seven lanes of the group idle.
   PopulationConfig config;
   config.processor_count = 4097;
   config.seed = 99;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
-  const ScreeningStats scalar = Screen(fleet, SimdLevel::kScalar);
-  ExpectIdentical(Screen(fleet, SimdLevel::kAuto), scalar);
-  for (const SimdLevel level : SupportedLevels()) {
+  const ScreeningStats scalar = Screen(config, SimdLevel::kScalar);
+  ExpectIdentical(Screen(config, SimdLevel::kAuto), scalar);
+  for (const SimdLevel level : SupportedSimdLevels()) {
     SCOPED_TRACE(SimdLevelName(level));
-    ExpectIdentical(Screen(fleet, level), scalar);
+    ExpectIdentical(Screen(config, level), scalar);
   }
   EXPECT_EQ(scalar.tested, 4097u);
 }
 
 TEST_F(SimdScreeningTest, AllFaultyFleetScreensIdentically) {
   // detected_rate == detectability makes prevalence 1: every serial is faulty, so the
-  // clean-path scan degenerates to nothing and the faulty loop dominates. The dispatch
-  // level still must not matter.
+  // generator takes its per-processor loop and the faulty loop dominates screening. The
+  // dispatch level still must not matter.
   PopulationConfig config;
   config.processor_count = 20000;
   config.seed = 7;
   config.detected_rate.fill(config.detectability);
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
-  const ScreeningStats scalar = Screen(fleet, SimdLevel::kScalar);
+  const ScreeningStats scalar = Screen(config, SimdLevel::kScalar);
   EXPECT_EQ(scalar.faulty, 20000u);
-  ExpectIdentical(Screen(fleet, SimdLevel::kAuto), scalar);
+  ExpectIdentical(Screen(config, SimdLevel::kAuto), scalar);
   EXPECT_GT(scalar.total_detected(), 0u);
 }
 
 TEST_F(SimdScreeningTest, ZeroFaultyFleetScreensIdentically) {
-  // detected_rate == 0 makes every serial clean: the whole pass is the SIMD histogram.
+  // detected_rate == 0 makes every serial clean: screening is only the tested counts.
   PopulationConfig config;
   config.processor_count = 20001;  // odd size: unaligned tail in every column
   config.seed = 7;
   config.detected_rate.fill(0.0);
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
-  const ScreeningStats scalar = Screen(fleet, SimdLevel::kScalar);
+  const ScreeningStats scalar = Screen(config, SimdLevel::kScalar);
   EXPECT_EQ(scalar.faulty, 0u);
   EXPECT_EQ(scalar.tested, 20001u);
   EXPECT_EQ(scalar.total_detected(), 0u);
-  ExpectIdentical(Screen(fleet, SimdLevel::kAuto), scalar);
+  ExpectIdentical(Screen(config, SimdLevel::kAuto), scalar);
 }
 
 TEST_F(SimdScreeningTest, EnvOverrideForcesScalarInPipeline) {
   // With SDC_SIMD=scalar the auto-dispatched run must equal the explicit scalar run --
-  // trivially bitwise, but this pins that the pipeline actually consults the resolver.
+  // trivially bitwise, but this pins that the engine actually consults the resolver.
   PopulationConfig config;
   config.processor_count = 30000;
   config.seed = 13;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
-  const ScreeningStats baseline = Screen(fleet, SimdLevel::kAuto);
+  const ScreeningStats baseline = Screen(config, SimdLevel::kAuto);
   ASSERT_EQ(setenv("SDC_SIMD", "scalar", 1), 0);
-  const ScreeningStats forced = Screen(fleet, SimdLevel::kAuto);
+  const ScreeningStats forced = Screen(config, SimdLevel::kAuto);
   ASSERT_EQ(unsetenv("SDC_SIMD"), 0);
   ExpectIdentical(forced, baseline);
   EXPECT_GT(baseline.total_detected(), 0u);
 }
 
 TEST_F(SimdScreeningTest, BatchedScreenIgnoresDispatchLevelBitwise) {
-  // The batched engine shares one histogram pass across scenarios; its level choice must
-  // be invisible in the output too.
+  // The batched engine shares one generation pass across scenarios; its level choice
+  // must be invisible in the output too.
   PopulationConfig config;
   config.processor_count = 30000;
   config.seed = 21;
-  const FleetPopulation fleet = FleetPopulation::Generate(config);
   ScreeningPipeline pipeline(suite_);
   const auto run_batch = [&](SimdLevel simd) {
     ScenarioBatch batch;
@@ -252,6 +258,7 @@ TEST_F(SimdScreeningTest, BatchedScreenIgnoresDispatchLevelBitwise) {
       batch.scenarios.push_back(scenario);
     }
     EngineContext context(EngineOptions{.threads = 2, .simd = simd});
+    const FleetPopulation fleet = FleetPopulation::Generate(config, context);
     return pipeline.RunBatch(fleet, batch, context);
   };
   const std::vector<ScreeningStats> scalar = run_batch(SimdLevel::kScalar);

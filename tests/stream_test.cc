@@ -616,8 +616,8 @@ TEST(StreamMemoryTest, TenMillionProcessorsStayWithinShardBudget) {
   EXPECT_GT(stats.total_detected(), 0u);
   EXPECT_EQ(report.shards, (kBigFleet + kFleetShardGrain - 1) / kFleetShardGrain);
   // Budget: half a MiB of scratch per lane comfortably covers the two 8 KiB byte columns
-  // plus the shard's handful of faulty parts and their defects -- and is ~40x below what
-  // materializing this fleet's columns alone would take.
+  // of each of the lane group's eight shards plus their handful of faulty parts and
+  // defects -- and is ~40x below what materializing this fleet's columns alone would take.
   const uint64_t budget = static_cast<uint64_t>(report.lanes) * 512 * 1024;
   EXPECT_GT(report.peak_scratch_bytes, 0u);
   EXPECT_LT(report.peak_scratch_bytes, budget)

@@ -14,8 +14,8 @@ Runs the bench at a small fleet size and asserts:
     cached-vs-reference screening speedup > 1, a batch amortization at K=8 of at least
     MIN_BATCH_AMORTIZATION (the relative acceptance bound: one batched pass must beat
     8 independent passes by >= 2x; it holds in scalar builds too, because the shared
-    work the batch amortizes -- the clean-path scan and the per-part model tables --
-    exists at every dispatch level), and a blocked-vs-reference generate speedup of at
+    work the batch amortizes -- generation, the faulty-range lookup and the per-part
+    model tables -- exists at every dispatch level), and a blocked-vs-reference generate speedup of at
     least MIN_GENERATE_SPEEDUP (relative for the same flaky-host reason; the blocked
     generator's win -- bulk uniform fill, branchless classify, no per-draw weight
     re-summing -- also survives scalar dispatch, so one bound covers both CI legs).
@@ -59,7 +59,7 @@ BATCH_KEYS = {
     "ns_per_processor_scenario",
 }
 ENV_KEYS = {"bench", "simd", "forced_scalar", "hardware_threads"}
-SIMD_LEVELS = {"scalar", "sse2", "avx2", "neon"}
+SIMD_LEVELS = {"scalar", "sse2", "avx2", "avx512", "neon"}
 
 
 def expected_combinations():
